@@ -29,7 +29,7 @@ from .distributions import (
     PointMass,
     validate,
 )
-from .ensemble import EnsemblePrediction, ensemble_decompose, parse_member_matrix
+from .ensemble import ensemble_decompose, parse_member_matrix
 from .errors import ConsistencyFailure, DistributionError, IntegrationFailure, InvalidSpec
 from .integrate import EngineConfig
 from .measures import aleatoric_bounds, decompose
@@ -99,9 +99,7 @@ def _load_spec(arg: str) -> dict:
         raise InvalidSpec(f"not valid JSON: {exc}") from exc
 
 
-def _triple_row(name: str, Q, cfg: RunConfig) -> dict:
-    triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=cfg.engine())
-    bounds = aleatoric_bounds(Q, unit=cfg.unit, normalized=cfg.normalized)
+def _triple_row(name: str, triple, bounds) -> dict:
     return {
         "name": name,
         "total": triple.total,
@@ -115,7 +113,9 @@ def _triple_row(name: str, Q, cfg: RunConfig) -> dict:
 
 def cmd_eval(args, cfg: RunConfig) -> None:
     Q = validate(_load_spec(args.spec))
-    _emit(EVAL_HEADER, [_triple_row(Q.kind, Q, cfg)], cfg)
+    triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=cfg.engine())
+    bounds = aleatoric_bounds(Q, unit=cfg.unit, normalized=cfg.normalized)
+    _emit(EVAL_HEADER, [_triple_row(Q.kind, triple, bounds)], cfg)
 
 
 def cmd_panel(args, cfg: RunConfig) -> None:
@@ -154,7 +154,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def cmd_curve(args, cfg: RunConfig) -> None:
     theta_star = _parse_floats(args.theta_star, "--theta-star")
     prior = BayesState(_parse_floats(args.prior, "--prior"))
-    schedule = [int(n) for n in _parse_floats(args.schedule, "--schedule")]
+    schedule = _parse_floats(args.schedule, "--schedule")
     if args.replications < 1:
         raise InvalidSpec(f"--replications must be >= 1, got {args.replications}")
     curve = learning_curve(
@@ -185,24 +185,12 @@ def cmd_ensemble(args, cfg: RunConfig) -> None:
         spec = _load_spec(text)
         if spec.get("kind") != "ensemble":
             raise InvalidSpec(f"expected an ensemble spec, got kind {spec.get('kind')!r}")
-        members = [list(row) for row in spec.get("members", [])]
-        prediction = EnsemblePrediction(members)
+        ensemble = validate(spec)
     else:
-        prediction = EnsemblePrediction(parse_member_matrix(text))
-    triple = ensemble_decompose(prediction, unit=cfg.unit, normalized=cfg.normalized)
-    bounds = aleatoric_bounds(
-        EmpiricalEnsemble(prediction.members), unit=cfg.unit, normalized=cfg.normalized
-    )
-    row = {
-        "name": f"ensemble_M{prediction.m}_K{prediction.k}",
-        "total": triple.total,
-        "aleatoric": triple.aleatoric,
-        "epistemic": triple.epistemic,
-        "alea_lower": bounds.lower,
-        "alea_upper": bounds.upper,
-        "error_bound": triple.error_bound,
-    }
-    _emit(EVAL_HEADER, [row], cfg)
+        ensemble = EmpiricalEnsemble(parse_member_matrix(text))
+    triple = ensemble_decompose(ensemble, unit=cfg.unit, normalized=cfg.normalized)
+    bounds = aleatoric_bounds(ensemble, unit=cfg.unit, normalized=cfg.normalized)
+    _emit(EVAL_HEADER, [_triple_row(f"ensemble_M{ensemble.m}_K{ensemble.k}", triple, bounds)], cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:

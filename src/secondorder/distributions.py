@@ -6,10 +6,12 @@ probability distribution over level-1 distributions; it represents an
 epistemic state, and the more concentrated it is, the more the predictor
 claims to know about the true outcome distribution.
 
-Supported second-order families: point masses (Dirac measures), Dirichlet
-distributions, uniform distributions over an interval of binary success
-probabilities, finite mixtures of any of these, and empirical ensembles of
-member predictions.
+Supported second-order families: Dirichlet distributions, uniform
+distributions over an interval of binary success probabilities, finite
+mixtures, and weighted finite sets of simplex points. The last are one class,
+``EmpiricalEnsemble(members, weights=None)``: a validated, read-only (M, K)
+atom matrix plus M weights. A point mass (``PointMass``) is its one-atom
+case, and ``ensemble.EnsemblePrediction`` is another name for it.
 
 All values are immutable after construction and safe to use from multiple
 threads. Sampling never touches hidden state: callers pass a seeded
@@ -46,25 +48,60 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+_ONE_WEIGHT = _frozen([1.0])
+
+
+def _as_floats(values, what: str) -> np.ndarray:
+    """`values` as a float array; ragged nesting is a DimensionMismatch, other junk an InvalidSpec."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        if "sequence" in str(exc):  # numpy: "setting an array element with a sequence"
+            raise DimensionMismatch(f"{what} must all have the same length") from exc
+        raise InvalidSpec(f"{what} must be numbers: {exc}") from exc
+
+
+def _probability_rows(values, ndim: int) -> np.ndarray:
+    """Validate `ndim`-d probability data whose last axis is the K outcomes, in one pass.
+
+    Returns a read-only copy with each vector renormalized to sum to 1.
+    """
+    arr = _as_floats(values, "probability vectors")
+    if arr.ndim != ndim or arr.shape[-1] < 2:
+        raise DimensionMismatch(
+            f"need {ndim}-d probability data with K >= 2 outcomes, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise InvalidSpec("probability entries must be finite")
+    if np.any(arr < 0.0):
+        raise NegativeProbability(f"negative probability entry {float(arr.min())!r}")
+    totals = arr.sum(axis=-1, keepdims=True)
+    off = np.abs(totals - 1.0) > RENORM_TOLERANCE
+    if np.any(off):
+        raise SumNotOne(f"probabilities sum to {float(totals[off][0])!r}, not 1")
+    return _frozen(arr / totals)
+
+
+def _weights(weights, n: int, noun: str) -> np.ndarray:
+    """Validate n strictly positive weights summing to 1; return them renormalized, read-only."""
+    w = _as_floats(weights, f"{noun} weights")
+    if w.ndim != 1 or w.shape[0] != n:
+        raise DimensionMismatch(f"{n} {noun}s but {w.shape} weights")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise NegativeProbability(f"{noun} weights must be finite and strictly positive")
+    total = float(w.sum())
+    if abs(total - 1.0) > RENORM_TOLERANCE:
+        raise SumNotOne(f"{noun} weights sum to {total!r}, not 1")
+    return _frozen(w / total)
+
+
 class Categorical:
     """A distribution over K >= 2 outcomes: non-negative entries summing to 1."""
 
     __slots__ = ("_probs",)
 
     def __init__(self, probs):
-        arr = np.asarray(probs, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise DimensionMismatch(
-                f"need a 1-d probability vector with K >= 2 outcomes, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidSpec("probability entries must be finite")
-        if np.any(arr < 0.0):
-            raise NegativeProbability(f"negative probability entry {float(arr.min())!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > RENORM_TOLERANCE:
-            raise SumNotOne(f"probabilities sum to {total!r}, not 1")
-        self._probs = _frozen(arr / total)
+        self._probs = _probability_rows(probs, ndim=1)
 
     @classmethod
     def _from_row(cls, row: np.ndarray) -> "Categorical":
@@ -125,30 +162,6 @@ class SecondOrderDistribution:
         return f"{type(self).__name__}(...)"
 
 
-class PointMass(SecondOrderDistribution):
-    """All second-order mass on a single level-1 distribution (a Dirac measure)."""
-
-    kind = "point"
-    __slots__ = ("theta",)
-
-    def __init__(self, theta):
-        self.theta = theta if isinstance(theta, Categorical) else Categorical(theta)
-
-    @property
-    def k(self) -> int:
-        return self.theta.k
-
-    def predictive_mean(self) -> Categorical:
-        return self.theta
-
-    def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        _check_sample_count(n)
-        return np.tile(self.theta.probs, (n, 1))
-
-    def __repr__(self) -> str:
-        return f"PointMass({self.theta.probs.tolist()!r})"
-
-
 class Dirichlet(SecondOrderDistribution):
     """Dirichlet distribution on the K-simplex with strictly positive concentrations."""
 
@@ -156,7 +169,7 @@ class Dirichlet(SecondOrderDistribution):
     __slots__ = ("alpha",)
 
     def __init__(self, alpha):
-        arr = np.asarray(alpha, dtype=float)
+        arr = _as_floats(alpha, "Dirichlet concentrations")
         if arr.ndim != 1 or arr.shape[0] < 2:
             raise DimensionMismatch(
                 f"need a 1-d concentration vector with K >= 2 entries, got shape {arr.shape}"
@@ -193,9 +206,10 @@ class IntervalUniform(SecondOrderDistribution):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
-        lo, hi = float(lo), float(hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise InvalidSpec("interval endpoints must be finite")
+        ends = _as_floats((lo, hi), "interval endpoints")
+        if ends.shape != (2,) or not np.all(np.isfinite(ends)):
+            raise InvalidSpec(f"interval endpoints must be two finite numbers, got {lo!r}, {hi!r}")
+        lo, hi = float(ends[0]), float(ends[1])
         if not 0.0 <= lo <= hi <= 1.0:
             raise InvalidSpec(f"need 0 <= lo <= hi <= 1, got lo={lo!r}, hi={hi!r}")
         self.lo = lo
@@ -235,17 +249,7 @@ class FiniteMixture(SecondOrderDistribution):
         for comp in components:
             if not isinstance(comp, SecondOrderDistribution):
                 raise InvalidSpec(f"mixture component {comp!r} is not a distribution")
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] != len(components):
-            raise DimensionMismatch(
-                f"{len(components)} components but {w.shape} weights"
-            )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise NegativeProbability("mixture weights must be finite and strictly positive")
-        total = float(w.sum())
-        if abs(total - 1.0) > RENORM_TOLERANCE:
-            raise SumNotOne(f"mixture weights sum to {total!r}, not 1")
-        w = w / total
+        w = _weights(weights, len(components), "component")
         ks = {comp.k for comp in components}
         if len(ks) != 1:
             raise DimensionMismatch(f"mixture components must share K, got {sorted(ks)}")
@@ -288,27 +292,38 @@ class FiniteMixture(SecondOrderDistribution):
 
 
 class EmpiricalEnsemble(SecondOrderDistribution):
-    """Uniformly weighted point masses at M >= 1 observed member predictions."""
+    """Weighted point masses at M >= 1 simplex points: the finite-atoms family.
+
+    One validated, read-only (M, K) matrix of atoms (ensemble members, MC
+    dropout or posterior samples) plus M weights, uniform 1/M by default.
+    Explicit weights must be strictly positive and sum to 1.
+    """
 
     kind = "ensemble"
-    __slots__ = ("members", "_matrix")
+    __slots__ = ("weights", "_matrix")
 
-    def __init__(self, members: Iterable):
-        members = tuple(
-            m if isinstance(m, Categorical) else Categorical(m) for m in members
-        )
-        if not members:
+    def __init__(self, members: Iterable, weights=None):
+        try:
+            rows = [m.probs if isinstance(m, Categorical) else m for m in members]
+        except TypeError as exc:
+            raise InvalidSpec(f"ensemble members must be a list of probability vectors: {exc}") from exc
+        if not rows:
             raise EmptyEnsemble("ensemble needs at least one member")
-        ks = {m.k for m in members}
-        if len(ks) != 1:
-            raise DimensionMismatch(f"ensemble members must share K, got {sorted(ks)}")
-        self.members = members
-        self._matrix = _frozen(np.vstack([m.probs for m in members]))
+        self._matrix = _probability_rows(rows, ndim=2)
+        if weights is None:
+            self.weights = _frozen(np.full(len(rows), 1.0 / len(rows)))
+        else:
+            self.weights = _weights(weights, len(rows), "member")
 
     @property
     def member_matrix(self) -> np.ndarray:
         """Read-only (M, K) matrix of member predictions."""
         return self._matrix
+
+    @property
+    def members(self) -> tuple[Categorical, ...]:
+        """The atoms as read-only `Categorical` views of the matrix rows."""
+        return tuple(Categorical._from_row(row) for row in self._matrix)
 
     @property
     def k(self) -> int:
@@ -319,15 +334,39 @@ class EmpiricalEnsemble(SecondOrderDistribution):
         return self._matrix.shape[0]
 
     def predictive_mean(self) -> Categorical:
-        return Categorical(self._matrix.mean(axis=0))
+        return Categorical(self.weights @ self._matrix)
+
+    def mean(self) -> Categorical:
+        """Weighted mean member prediction; the same as `predictive_mean`."""
+        return self.predictive_mean()
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)
-        idx = rng.integers(0, self.m, size=n)
+        w = self.weights
+        # Equal weights draw with `integers`, which consumes no state for one atom.
+        idx = rng.choice(self.m, size=n, p=None if np.all(w == w[0]) else w)
         return self._matrix[idx]
 
     def __repr__(self) -> str:
         return f"EmpiricalEnsemble(M={self.m}, K={self.k})"
+
+
+class PointMass(EmpiricalEnsemble):
+    """All second-order mass on a single level-1 distribution (a Dirac measure)."""
+
+    kind = "point"
+    __slots__ = ("theta",)
+
+    def __init__(self, theta):
+        self.theta = theta if isinstance(theta, Categorical) else Categorical(theta)
+        self._matrix = self.theta.probs[np.newaxis, :]
+        self.weights = _ONE_WEIGHT
+
+    def predictive_mean(self) -> Categorical:
+        return self.theta
+
+    def __repr__(self) -> str:
+        return f"PointMass({self.theta.probs.tolist()!r})"
 
 
 def validate(spec) -> SecondOrderDistribution:
@@ -362,13 +401,7 @@ def _build(spec, depth: int) -> SecondOrderDistribution:
     if kind == "dirichlet":
         return Dirichlet(_field(spec, "alpha", kind))
     if kind == "interval_uniform":
-        lo, hi = _field(spec, "lo", kind), _field(spec, "hi", kind)
-        try:
-            return IntervalUniform(float(lo), float(hi))
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidSpec):
-                raise
-            raise InvalidSpec(f"interval endpoints must be numbers, got {lo!r}, {hi!r}") from exc
+        return IntervalUniform(_field(spec, "lo", kind), _field(spec, "hi", kind))
     if kind == "mixture":
         if depth > MAX_MIXTURE_DEPTH:
             raise InvalidSpec(f"mixture nesting deeper than {MAX_MIXTURE_DEPTH}")

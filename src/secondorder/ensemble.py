@@ -1,90 +1,27 @@
 """Discrete uncertainty estimators for ensembles of categorical predictions.
 
-Given member predictions theta_1, ..., theta_M (optionally weighted), the
-total uncertainty is the entropy of the weighted mean prediction, the
-aleatoric part is the weighted mean of member entropies, and the epistemic
-part is the Jensen-Shannon divergence of the members: the weighted mean KL
-divergence of each member from the mean. All three are finite, exact sums;
-they coincide with the generic measures applied to the empirical
-second-order distribution of the members.
+Member predictions theta_1, ..., theta_M (optionally weighted) are held by
+the one finite-atoms class, ``EmpiricalEnsemble(members, weights=None)``;
+``EnsemblePrediction`` is another name for it, and ``PointMass`` is its
+one-atom case. The total uncertainty is the entropy of the weighted mean
+prediction, the aleatoric part is the weighted mean of member entropies, and
+the epistemic part is the Jensen-Shannon divergence of the members: the
+weighted mean KL divergence of each member from the mean. All three are
+finite, exact sums; `ensemble_decompose` runs the same code as `decompose`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
+from .distributions import Categorical, EmpiricalEnsemble
+from .errors import DistributionError, EmptyEnsemble, InvalidSpec
+from .integrate import kl_nats_rows
+from .measures import UncertaintyTriple, _decompose
+from .units import divisor
 
-import numpy as np
-
-from .distributions import RENORM_TOLERANCE, Categorical, _frozen
-from .errors import (
-    DimensionMismatch,
-    EmptyEnsemble,
-    InvalidSpec,
-    NegativeProbability,
-    SumNotOne,
-)
-from .integrate import entropy_nats_rows, kl_nats_rows
-from .measures import UncertaintyTriple
-from .units import unit_divisor
+EnsemblePrediction = EmpiricalEnsemble
 
 
-class EnsemblePrediction:
-    """Predictions of M >= 1 ensemble members on a shared outcome set.
-
-    Weights default to the uniform 1/M; explicit weights generalize every
-    estimator below and reduce to the uniform formulas when equal.
-    """
-
-    __slots__ = ("members", "weights", "_matrix")
-
-    def __init__(self, members: Iterable, weights=None):
-        members = tuple(
-            m if isinstance(m, Categorical) else Categorical(m) for m in members
-        )
-        if not members:
-            raise EmptyEnsemble("ensemble needs at least one member")
-        ks = {m.k for m in members}
-        if len(ks) != 1:
-            raise DimensionMismatch(f"ensemble members must share K, got {sorted(ks)}")
-        if weights is None:
-            w = np.full(len(members), 1.0 / len(members))
-        else:
-            w = np.asarray(weights, dtype=float)
-            if w.ndim != 1 or w.shape[0] != len(members):
-                raise DimensionMismatch(f"{len(members)} members but {w.shape} weights")
-            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-                raise NegativeProbability("member weights must be finite and strictly positive")
-            total = float(w.sum())
-            if abs(total - 1.0) > RENORM_TOLERANCE:
-                raise SumNotOne(f"member weights sum to {total!r}, not 1")
-            w = w / total
-        self.members = members
-        self.weights = _frozen(w)
-        self._matrix = _frozen(np.vstack([m.probs for m in members]))
-
-    @property
-    def member_matrix(self) -> np.ndarray:
-        """Read-only (M, K) matrix of member predictions."""
-        return self._matrix
-
-    @property
-    def m(self) -> int:
-        return self._matrix.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self._matrix.shape[1]
-
-    def mean(self) -> Categorical:
-        """Weighted mean prediction of the ensemble."""
-        return Categorical(self.weights @ self._matrix)
-
-    def __repr__(self) -> str:
-        return f"EnsemblePrediction(M={self.m}, K={self.k})"
-
-
-def js_divergence(e: EnsemblePrediction, unit: str = "bits") -> float:
+def js_divergence(e: EmpiricalEnsemble, unit: str = "bits") -> float:
     """Jensen-Shannon divergence of the members from their weighted mean.
 
     Always finite: the mean dominates every member with positive weight.
@@ -93,31 +30,19 @@ def js_divergence(e: EnsemblePrediction, unit: str = "bits") -> float:
     mean = e.weights @ e.member_matrix
     kl_terms = kl_nats_rows(e.member_matrix, mean)
     nats = float(e.weights @ kl_terms)
-    return max(nats, 0.0) / unit_divisor(unit)
+    return max(nats, 0.0) / divisor(unit)
 
 
 def ensemble_decompose(
-    e: EnsemblePrediction, unit: str = "bits", normalized: bool = True
+    e: EmpiricalEnsemble, unit: str = "bits", normalized: bool = True
 ) -> UncertaintyTriple:
     """Total / aleatoric / epistemic uncertainty of an ensemble prediction.
 
     total is the entropy of the mean prediction, aleatoric the weighted mean
-    of member entropies, and epistemic the Jensen-Shannon divergence; all
-    sums are finite and exact, so the error bound is zero.
+    of member entropies, and epistemic the Jensen-Shannon divergence (their
+    difference); all sums are finite and exact, so the error bound is zero.
     """
-    mean = e.weights @ e.member_matrix
-    total_nats = float(entropy_nats_rows(mean[np.newaxis, :])[0])
-    aleatoric_nats = float(e.weights @ entropy_nats_rows(e.member_matrix))
-    epistemic_nats = max(float(e.weights @ kl_nats_rows(e.member_matrix, mean)), 0.0)
-    divisor = math.log(e.k) if normalized else unit_divisor(unit)
-    return UncertaintyTriple(
-        total=total_nats / divisor,
-        aleatoric=aleatoric_nats / divisor,
-        epistemic=epistemic_nats / divisor,
-        unit=unit,
-        normalized=normalized,
-        error_bound=0.0,
-    )
+    return _decompose(e, unit, normalized, None, check=False)
 
 
 def parse_member_matrix(text: str) -> list[Categorical]:
@@ -138,7 +63,7 @@ def parse_member_matrix(text: str) -> list[Categorical]:
             raise InvalidSpec(f"line {lineno}: not a probability row: {line!r}") from exc
         try:
             members.append(Categorical(values))
-        except (InvalidSpec, NegativeProbability, SumNotOne, DimensionMismatch) as exc:
+        except DistributionError as exc:
             raise type(exc)(f"line {lineno}: {exc}") from exc
     if not members:
         raise EmptyEnsemble("no member rows found")

@@ -3,7 +3,8 @@
 `expect` evaluates E[f(theta)] for theta ~ Q along one of four routes, each
 with explicit error accounting:
 
-- exact weighted sums for point masses, point-mass mixtures, and ensembles;
+- exact weighted sums over the atoms of an `EmpiricalEnsemble` (the one
+  finite-atoms class: ensembles, and point masses as its one-atom case);
 - a digamma closed form for the expected Shannon entropy of a Dirichlet;
 - adaptive Simpson quadrature for interval uniforms;
 - seeded Monte Carlo for everything else, with a 3-sigma error bound.
@@ -26,11 +27,10 @@ from .distributions import (
     EmpiricalEnsemble,
     FiniteMixture,
     IntervalUniform,
-    PointMass,
     SecondOrderDistribution,
 )
 from .errors import IntegrationFailure
-from .units import from_nats
+from .units import divisor
 
 METHODS = ("exact", "closed_form", "quadrature", "monte_carlo")
 
@@ -85,8 +85,10 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not self.tolerance > 0.0:  # also rejects NaN
+            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if self.max_evals < 5:
             raise ValueError("max_evals too small for a single Simpson panel")
         if self.mc_samples < 2:
@@ -159,6 +161,11 @@ def kl_nats_rows(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return contrib.sum(axis=1)
 
 
+def entropy_nats(probs: np.ndarray) -> float:
+    """Shannon entropy in nats of one probability vector."""
+    return float(entropy_nats_rows(probs[np.newaxis, :])[0])
+
+
 def binary_entropy_nats(t: float) -> float:
     """Shannon entropy in nats of (t, 1 - t)."""
     if t <= 0.0 or t >= 1.0:
@@ -167,7 +174,7 @@ def binary_entropy_nats(t: float) -> float:
 
 
 def _entropy_scalar(theta: Categorical) -> float:
-    return float(entropy_nats_rows(theta.probs[np.newaxis, :])[0])
+    return entropy_nats(theta.probs)
 
 
 ENTROPY_NATS = Integrand(
@@ -229,14 +236,12 @@ def dirichlet_expected_entropy(alpha, unit: str = "nats") -> float:
     E[H(theta)] = psi(a0 + 1) - sum_k (alpha_k / a0) psi(alpha_k + 1) in
     nats, with a0 the concentration total.
     """
-    arr = np.asarray(alpha, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 2 or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("need a vector of K >= 2 strictly positive concentrations")
+    arr = Dirichlet(alpha).alpha
     a0 = float(arr.sum())
     nats = digamma(a0 + 1.0) - sum(
         float(ai) / a0 * digamma(float(ai) + 1.0) for ai in arr
     )
-    return from_nats(max(nats, 0.0), unit)
+    return max(nats, 0.0) / divisor(unit)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +265,8 @@ def quadrature_1d(
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not tolerance > 0.0:  # also rejects NaN
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     if a == b:
         return ExpectationResult(0.0, 0.0, "exact", 0)
 
@@ -349,12 +354,9 @@ def expect(
 
 
 def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig) -> ExpectationResult:
-    if isinstance(Q, PointMass):
-        return ExpectationResult(float(integrand.fn(Q.theta)), 0.0, "exact", 1)
-
     if isinstance(Q, EmpiricalEnsemble):
         values = _eval_rows(integrand, Q.member_matrix)
-        return ExpectationResult(float(values.mean()), 0.0, "exact", Q.m)
+        return ExpectationResult(float(Q.weights @ values), 0.0, "exact", Q.m)
 
     if isinstance(Q, FiniteMixture):
         parts = [_expect(comp, integrand, cfg) for comp in Q.components]

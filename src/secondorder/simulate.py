@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Categorical, Dirichlet, _frozen
+from .distributions import Categorical, Dirichlet
 from .errors import DimensionMismatch, InvalidSpec
 from .integrate import EngineConfig
 from .measures import UncertaintyTriple, decompose
@@ -39,14 +39,8 @@ class BayesState:
     counts: np.ndarray
 
     def __init__(self, counts):
-        arr = np.asarray(counts, dtype=float)
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise DimensionMismatch(
-                f"need a 1-d count vector with K >= 2 entries, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise InvalidSpec("counts must be finite and strictly positive")
-        object.__setattr__(self, "counts", _frozen(arr))
+        # Counts are exactly the posterior's concentrations; Dirichlet validates them.
+        object.__setattr__(self, "counts", Dirichlet(counts).alpha)
 
     @classmethod
     def uniform_prior(cls, k: int) -> "BayesState":
@@ -89,6 +83,8 @@ class CurvePoint:
 
 
 def _check_schedule(schedule: Sequence[int]) -> list[int]:
+    if not all(float(n).is_integer() for n in schedule):
+        raise InvalidSpec(f"schedule sizes must be integers, got {list(schedule)}")
     points = [int(n) for n in schedule]
     if not points or points[0] != 0:
         raise InvalidSpec(f"schedule must start at 0, got {points[:1]}")

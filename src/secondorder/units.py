@@ -14,24 +14,14 @@ LN2 = math.log(2.0)
 UNITS = ("bits", "nats")
 
 
-def unit_divisor(unit: str) -> float:
-    """Nats per one unit of `unit` ('bits' or 'nats')."""
-    if unit == "bits":
-        return LN2
-    if unit == "nats":
-        return 1.0
-    raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
+def divisor(unit: str, k: int | None = None, normalized: bool = False) -> float:
+    """Nats per one output unit: log K on the normalized scale, else per bit or nat.
 
-
-def from_nats(value_nats: float, unit: str, k: int | None = None, normalized: bool = False) -> float:
-    """Convert a value in nats to the requested unit.
-
-    Normalized values divide by log K (same-base log, so the result does not
-    depend on the unit); `k` is required in that case.
+    Normalized values do not depend on the unit (same-base log), but an
+    unknown unit is rejected on both paths; `k` is required when normalized.
     """
+    if unit not in UNITS:
+        raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
     if normalized:
-        if k is None:
-            raise ValueError("normalization requires the outcome count K")
-        unit_divisor(unit)  # still reject unknown units
-        return value_nats / math.log(k)
-    return value_nats / unit_divisor(unit)
+        return math.log(k)
+    return LN2 if unit == "bits" else 1.0

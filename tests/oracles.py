@@ -40,6 +40,24 @@ def kl_bits(p, q) -> float:
     return sum(pi * math.log2(pi / qi) for pi, qi in zip(p, q) if pi > 0)
 
 
+def ensemble_triple_bits(members) -> tuple[float, float, float]:
+    """(total, aleatoric, epistemic) of a uniformly weighted ensemble, normalized.
+
+    Member sums of entropy_bits and kl_bits against the plain mean of the
+    members, divided by log2 K. `members` are probability vectors or
+    objects with a `probs` vector.
+    """
+    rows = [[float(x) for x in getattr(m, "probs", m)] for m in members]
+    m, k = len(rows), len(rows[0])
+    mean = [sum(row[j] for row in rows) / m for j in range(k)]
+    scale = math.log2(k)
+    return (
+        entropy_bits(mean) / scale,
+        sum(entropy_bits(row) for row in rows) / m / scale,
+        sum(kl_bits(row, mean) for row in rows) / m / scale,
+    )
+
+
 def mc_dirichlet_entropy_bits(alpha, n: int, seed: int) -> tuple[float, float]:
     """Monte Carlo mean entropy of Dirichlet draws: (mean, standard error)."""
     rng = np.random.default_rng(seed)

@@ -161,6 +161,12 @@ def test_criterion_4_ensemble_identity():
         e = EnsemblePrediction(members)
         via_ensemble = ensemble_decompose(e)
         via_generic = decompose(EmpiricalEnsemble(members))
+        # Both routes run the same code, so each is also held to the
+        # independent scalar oracle; the worst gap covers all three pairs.
+        oracle = oc.ensemble_triple_bits(members)
+        for triple in (via_ensemble, via_generic):
+            got = (triple.total, triple.aleatoric, triple.epistemic)
+            worst_triple = max(worst_triple, *(abs(x - y) for x, y in zip(got, oracle)))
         worst_triple = max(
             worst_triple,
             abs(via_ensemble.total - via_generic.total),

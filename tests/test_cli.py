@@ -73,6 +73,20 @@ class TestEval:
         assert out == ""
         assert "numerical failure" in err
 
+    @pytest.mark.parametrize(
+        "spec, flag, value",
+        [
+            ('{"kind":"interval_uniform","lo":0,"hi":1}', "--tol", "nan"),
+            ('{"kind":"point","theta":[0.5,0.5]}', "--seed", "-1"),
+        ],
+        ids=["nan-tolerance", "negative-seed"],
+    )
+    def test_bad_engine_option_exits_2(self, capsys, spec, flag, value):
+        code, out, err = run_cli(capsys, "eval", spec, flag, value)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", '{"kind":"point","theta":[0.5,0.5]}', "--format", "json"
@@ -187,6 +201,12 @@ class TestCurve:
     def test_schedule_not_starting_at_zero_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "curve", "--schedule", "1,2", "--replications", "1")
         assert code == 2
+
+    def test_non_integer_schedule_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "--schedule", "0,1.5,2", "--replications", "1")
+        assert code == 2
+        assert out == ""
+        assert "integers" in err
 
     def test_bad_theta_star_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "curve", "--theta-star", "0.5,oops", "--replications", "1")

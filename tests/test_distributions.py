@@ -101,6 +101,8 @@ class TestConstructors:
     def test_ensemble_shared_k(self):
         with pytest.raises(DimensionMismatch):
             EmpiricalEnsemble([[0.5, 0.5], [0.2, 0.3, 0.5]])
+        with pytest.raises(DimensionMismatch):
+            validate({"kind": "ensemble", "members": [[0.5, 0.5], [0.2, 0.3, 0.5]]})
 
 
 class TestValidate:
@@ -140,9 +142,18 @@ class TestValidate:
         with pytest.raises(InvalidSpec):
             validate({"kind": "dirichlet"})
 
+    # Specs of the right shape whose values are not numbers.
+    NON_NUMERIC = (
+        {"kind": "point", "theta": "ab"},
+        {"kind": "ensemble", "members": [[0.5, 0.5], [0.5, "x"]]},
+        {"kind": "mixture", "weights": ["a"], "components": [{"kind": "point", "theta": [0.5, 0.5]}]},
+        {"kind": "ensemble", "members": 5},
+    )
+
     def test_not_a_mapping(self):
-        with pytest.raises(InvalidSpec):
-            validate([1, 2, 3])
+        for spec in ([1, 2, 3], *self.NON_NUMERIC):
+            with pytest.raises(InvalidSpec):
+                validate(spec)
 
     def _nested_mixture(self, levels):
         spec = {"kind": "point", "theta": [0.5, 0.5]}

@@ -72,6 +72,10 @@ class TestEnsembleDecompose:
             assert abs(via_ensemble.total - via_generic.total) <= 1e-12
             assert abs(via_ensemble.aleatoric - via_generic.aleatoric) <= 1e-12
             assert abs(via_ensemble.epistemic - via_generic.epistemic) <= 1e-12
+            oracle = oc.ensemble_triple_bits(members)
+            for triple in (via_ensemble, via_generic):
+                got = (triple.total, triple.aleatoric, triple.epistemic)
+                assert max(abs(x - y) for x, y in zip(got, oracle)) <= 1e-12
 
     def test_weighted_matches_point_mass_mixture(self):
         rng = np.random.default_rng(61)

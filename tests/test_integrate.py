@@ -79,6 +79,18 @@ class TestQuadrature:
             assert abs(res.value - expected) <= tol
 
 
+class TestEngineConfig:
+    def test_rejects_nan_tolerance(self):
+        with pytest.raises(ValueError):
+            EngineConfig(tolerance=math.nan)
+        with pytest.raises(ValueError):
+            quadrature_1d(lambda t: t, 0.0, 1.0, tolerance=math.nan)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            EngineConfig(seed=-1)
+
+
 class TestDigamma:
     def test_against_scipy(self):
         xs = np.concatenate(

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as oc
 from secondorder import (
     Categorical,
     Dirichlet,
@@ -140,6 +141,10 @@ def test_ensemble_matches_generic_decomposition(members):
     assert abs(via_ensemble.total - via_generic.total) <= 1e-12
     assert abs(via_ensemble.aleatoric - via_generic.aleatoric) <= 1e-12
     assert abs(via_ensemble.epistemic - via_generic.epistemic) <= 1e-12
+    oracle = oc.ensemble_triple_bits(members)
+    for triple in (via_ensemble, via_generic):
+        got = (triple.total, triple.aleatoric, triple.epistemic)
+        assert max(abs(x - y) for x, y in zip(got, oracle)) <= 1e-12
 
 
 @given(st.integers(2, 5), st.data())
