@@ -42,18 +42,12 @@ CURVE_HEADER = ("n", "total", "aleatoric", "epistemic", "total_minus_epistemic")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved common options for a single CLI invocation."""
+    """Resolved options that every command takes."""
 
     unit: str = "bits"
     normalized: bool = True
-    tolerance: float = 1e-10
-    mc_samples: int = 100_000
-    seed: int = 0
     fmt: str = "csv"
     out: str | None = None
-
-    def engine(self) -> EngineConfig:
-        return EngineConfig(tolerance=self.tolerance, mc_samples=self.mc_samples, seed=self.seed)
 
 
 def _builtin_panels() -> list[tuple[str, object]]:
@@ -111,14 +105,19 @@ def _triple_row(name: str, triple, bounds) -> dict:
     }
 
 
+def _engine(args) -> EngineConfig:
+    return EngineConfig(tolerance=args.tol, mc_samples=args.mc_samples, seed=args.seed)
+
+
 def cmd_eval(args, cfg: RunConfig) -> None:
     Q = validate(_load_spec(args.spec))
-    triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=cfg.engine())
+    triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=_engine(args))
     bounds = aleatoric_bounds(Q, unit=cfg.unit, normalized=cfg.normalized)
     _emit(EVAL_HEADER, [_triple_row(Q.kind, triple, bounds)], cfg)
 
 
 def cmd_panel(args, cfg: RunConfig) -> None:
+    engine = _engine(args)
     if args.panel_file:
         entries = json.loads(Path(args.panel_file).read_text())
         if not isinstance(entries, list):
@@ -132,7 +131,7 @@ def cmd_panel(args, cfg: RunConfig) -> None:
         panels = _builtin_panels()
     rows = []
     for name, Q in panels:
-        triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=cfg.engine())
+        triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=engine)
         rows.append(
             {
                 "name": name,
@@ -162,7 +161,7 @@ def cmd_curve(args, cfg: RunConfig) -> None:
         prior=prior,
         schedule=schedule,
         replications=args.replications,
-        seed=cfg.seed,
+        seed=args.seed,
         unit=cfg.unit,
         normalized=cfg.normalized,
     )
@@ -203,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--raw", action="store_true", help="report raw values instead of normalizing by log K"
     )
-    common.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-    common.add_argument("--mc-samples", type=int, default=100_000)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -234,21 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("members", help="text matrix (one member per line) or ensemble JSON file")
     p_ens.set_defaults(func=cmd_ensemble)
 
+    # Each command takes only the options it reads.
+    for p in (p_eval, p_panel, p_curve):
+        p.add_argument("--seed", type=int, default=0)
+    for p in (p_eval, p_panel):
+        p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+        p.add_argument("--mc-samples", type=int, default=100_000)
+
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        unit=args.unit,
-        normalized=not args.raw,
-        tolerance=args.tol,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        fmt=args.format,
-        out=args.out,
-    )
+    cfg = RunConfig(unit=args.unit, normalized=not args.raw, fmt=args.format, out=args.out)
     try:
         args.func(args, cfg)
     except (DistributionError, OSError, TypeError, ValueError) as exc:

@@ -6,11 +6,14 @@ with explicit error accounting:
 - exact weighted sums over the atoms of an `EmpiricalEnsemble` (the one
   finite-atoms class: ensembles, and point masses as its one-atom case);
 - a digamma closed form for the expected Shannon entropy of a Dirichlet;
-- adaptive Simpson quadrature for interval uniforms;
+- adaptive Simpson quadrature for interval uniforms, which evaluates each
+  refinement level as one batch (`quadrature_1d` calls its integrand on
+  1-d arrays of abscissae);
 - seeded Monte Carlo for everything else, with a 3-sigma error bound.
 
 Mixtures split linearly over their components and combine error bounds
-additively (conservative).
+additively (conservative). Every route evaluates an integrand through one
+form, its `rows_fn` on an (n, K) matrix of simplex points.
 """
 
 from __future__ import annotations
@@ -100,41 +103,32 @@ DEFAULT_CONFIG = EngineConfig()
 
 @dataclass(frozen=True)
 class Integrand:
-    """A real-valued function of a level-1 distribution.
+    """A real-valued function of a level-1 distribution, evaluated on a batch.
 
-    `fn` is the defining scalar form. The optional forms are performance
-    shortcuts the engines exploit when present: `rows_fn` maps an (n, K)
-    matrix of simplex points to n values (Monte Carlo, ensembles), and
-    `binary_fn` maps the first-outcome probability t to f((t, 1-t))
-    (quadrature over binary intervals). `kind` tags integrands with a known
-    closed form; "entropy" enables the Dirichlet route.
+    `rows_fn` maps an (n, K) matrix of simplex points to n values; every
+    engine calls it (ensembles and Monte Carlo on their atom or sample rows,
+    quadrature on one (t, 1 - t) row per abscissa of a refinement level).
+    `kind` tags integrands with a known closed form; "entropy" enables the
+    Dirichlet route.
     """
 
-    fn: Callable[[Categorical], float]
-    rows_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    binary_fn: Optional[Callable[[float], float]] = None
+    rows_fn: Callable[[np.ndarray], np.ndarray]
     kind: Optional[str] = None
-
-    def __call__(self, theta: Categorical) -> float:
-        return self.fn(theta)
 
 
 def as_integrand(f) -> Integrand:
+    """`f` as an Integrand; a scalar f(Categorical) is lifted to rows by calling it per row."""
     if isinstance(f, Integrand):
         return f
-    if callable(f):
-        return Integrand(fn=f)
-    raise TypeError(f"expected a callable or Integrand, got {type(f).__name__}")
+    if not callable(f):
+        raise TypeError(f"expected a callable or Integrand, got {type(f).__name__}")
 
+    def rows_fn(rows: np.ndarray) -> np.ndarray:
+        frozen = rows if not rows.flags.writeable else rows.copy()
+        frozen.flags.writeable = False
+        return np.array([f(Categorical._from_row(row)) for row in frozen])
 
-def _eval_rows(integrand: Integrand, rows: np.ndarray) -> np.ndarray:
-    if integrand.rows_fn is not None:
-        return np.asarray(integrand.rows_fn(rows), dtype=float)
-    frozen = rows if not rows.flags.writeable else rows.copy()
-    frozen.flags.writeable = False
-    return np.array(
-        [integrand.fn(Categorical._from_row(frozen[i])) for i in range(frozen.shape[0])]
-    )
+    return Integrand(rows_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -166,36 +160,13 @@ def entropy_nats(probs: np.ndarray) -> float:
     return float(entropy_nats_rows(probs[np.newaxis, :])[0])
 
 
-def binary_entropy_nats(t: float) -> float:
-    """Shannon entropy in nats of (t, 1 - t)."""
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
-
-
-def _entropy_scalar(theta: Categorical) -> float:
-    return entropy_nats(theta.probs)
-
-
-ENTROPY_NATS = Integrand(
-    fn=_entropy_scalar,
-    rows_fn=entropy_nats_rows,
-    binary_fn=binary_entropy_nats,
-    kind="entropy",
-)
+ENTROPY_NATS = Integrand(entropy_nats_rows, kind="entropy")
 
 
 def kl_to(reference: Categorical) -> Integrand:
     """Integrand theta -> KL(theta || reference) in nats."""
     ref = reference.probs
-
-    def scalar(theta: Categorical) -> float:
-        return float(kl_nats_rows(theta.probs[np.newaxis, :], ref)[0])
-
-    def binary(t: float) -> float:
-        return float(kl_nats_rows(np.array([[t, 1.0 - t]]), ref)[0])
-
-    return Integrand(fn=scalar, rows_fn=lambda rows: kl_nats_rows(rows, ref), binary_fn=binary)
+    return Integrand(lambda rows: kl_nats_rows(rows, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +221,21 @@ def dirichlet_expected_entropy(alpha, unit: str = "nats") -> float:
 
 
 def quadrature_1d(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tolerance: float = 1e-10,
     max_evals: int = 1_000_000,
 ) -> ExpectationResult:
-    """Integrate f over [a, b] by adaptive Simpson bisection.
+    """Integrate f over [a, b] by adaptive Simpson bisection, one level at a time.
 
-    A panel is accepted when the classic embedded estimate |S_fine - S_coarse|
-    is within 15x its share of the tolerance; the Richardson-corrected value
-    is returned with the accumulated estimate as the error bound. Degenerate
-    intervals (a == b) return 0 exactly.
+    `f` maps a 1-d array of abscissae to as many values (a scalar broadcasts).
+    It is called once on (a, mid, b), then once per refinement level on the
+    two new midpoints of every open panel; f never sees more than `max_evals`
+    points. A panel is accepted when |S_fine - S_coarse| is within 15x its
+    share of the tolerance, which halves per level; the Richardson-corrected
+    value is returned with the accumulated estimate as the error bound.
+    Degenerate intervals (a == b) return 0 exactly.
     """
     if a > b:
         raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
@@ -272,43 +246,42 @@ def quadrature_1d(
 
     evals = 0
 
-    def ev(x: float) -> float:
+    def ev(ts: np.ndarray) -> np.ndarray:
         nonlocal evals
-        evals += 1
-        if evals > max_evals:
+        if evals + ts.size > max_evals:
             raise IntegrationFailure(
                 f"quadrature exceeded {max_evals} evaluations before reaching tolerance {tolerance}"
             )
-        return f(x)
+        evals += ts.size
+        return np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
 
-    error_acc = 0.0
-
-    def recurse(x0, f0, xm, fm, x2, f2, whole, eps, depth):
-        nonlocal error_acc
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x2)
-        flm, frm = ev(lm), ev(rm)
+    mid = 0.5 * (a + b)
+    fa, fmid, fb = ev(np.array([a, mid, b]))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
+    # One column per open panel: x0, xm, x2, f(x0), f(xm), f(x2), coarse Simpson estimate.
+    panels = np.array([[a], [mid], [b], [fa], [fmid], [fb], [whole]])
+    value = error = 0.0
+    eps = tolerance
+    for _ in range(MAX_QUAD_DEPTH + 1):
+        x0, xm, x2, f0, fm, f2, whole = panels
+        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        flm, frm = np.split(ev(np.concatenate((lm, rm))), 2)
         left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
         right = (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            error_acc += abs(delta) / 15.0
-            return left + right + delta / 15.0
-        if depth >= MAX_QUAD_DEPTH:
-            raise IntegrationFailure(
-                f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error {abs(delta) / 15.0:.3e} "
-                f"over [{x0}, {x2}] (tolerance {tolerance})"
-            )
-        return recurse(x0, f0, lm, flm, xm, fm, left, 0.5 * eps, depth + 1) + recurse(
-            xm, fm, rm, frm, x2, f2, right, 0.5 * eps, depth + 1
-        )
-
-    fa, fb = ev(a), ev(b)
-    mid = 0.5 * (a + b)
-    fmid = ev(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    value = recurse(a, fa, mid, fmid, b, fb, whole, tolerance, 0)
-    return ExpectationResult(float(value), float(error_acc), "quadrature", evals)
+        done = np.abs(delta) <= 15.0 * eps
+        value += float(np.sum((left + right + delta / 15.0)[done]))
+        error += float(np.sum(np.abs(delta[done]) / 15.0))
+        if done.all():
+            return ExpectationResult(value, error, "quadrature", evals)
+        lefts = np.stack((x0, lm, xm, f0, flm, fm, left))
+        rights = np.stack((xm, rm, x2, fm, frm, f2, right))
+        panels = np.concatenate((lefts, rights), axis=1)[:, np.tile(~done, 2)]
+        eps *= 0.5
+    raise IntegrationFailure(
+        f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error "
+        f"{float(np.abs(delta).max()) / 15.0:.3e} (tolerance {tolerance})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +305,7 @@ def mc_expect(
     integrand = as_integrand(f)
     rng = np.random.default_rng(seed)
     rows = Q.sample_rows(n_samples, rng)
-    values = _eval_rows(integrand, rows)
+    values = np.asarray(integrand.rows_fn(rows), dtype=float)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1)) / math.sqrt(n_samples)
     return ExpectationResult(mean, 3.0 * stderr, "monte_carlo", n_samples)
@@ -355,7 +328,7 @@ def expect(
 
 def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig) -> ExpectationResult:
     if isinstance(Q, EmpiricalEnsemble):
-        values = _eval_rows(integrand, Q.member_matrix)
+        values = integrand.rows_fn(Q.member_matrix)
         return ExpectationResult(float(Q.weights @ values), 0.0, "exact", Q.m)
 
     if isinstance(Q, FiniteMixture):
@@ -375,15 +348,15 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
 
     if isinstance(Q, IntervalUniform):
         if Q.lo == Q.hi:
-            theta = Categorical((Q.lo, 1.0 - Q.lo))
-            return ExpectationResult(float(integrand.fn(theta)), 0.0, "exact", 1)
-        if integrand.binary_fn is not None:
-            g = integrand.binary_fn
-        else:
-            g = lambda t: integrand.fn(Categorical((t, 1.0 - t)))  # noqa: E731
+            value = integrand.rows_fn(np.array([[Q.lo, 1.0 - Q.lo]]))[0]
+            return ExpectationResult(float(value), 0.0, "exact", 1)
         width = Q.hi - Q.lo
         integral = quadrature_1d(
-            g, Q.lo, Q.hi, tolerance=cfg.tolerance * width, max_evals=cfg.max_evals
+            lambda ts: integrand.rows_fn(np.column_stack((ts, 1.0 - ts))),
+            Q.lo,
+            Q.hi,
+            tolerance=cfg.tolerance * width,
+            max_evals=cfg.max_evals,
         )
         return integral.scaled(width)
 

@@ -37,7 +37,6 @@ from .integrate import (
     ENTROPY_NATS,
     EngineConfig,
     ExpectationResult,
-    binary_entropy_nats,
     entropy_nats,
     entropy_nats_rows,
     expect,
@@ -164,15 +163,20 @@ def epistemic_mutual_information(
     a useful cross-check.
     """
     if method == "residual":
-        au = expect(Q, ENTROPY_NATS, config)
-        total_nats = entropy_nats(Q.predictive_mean().probs)
-        value = max(total_nats - au.value, 0.0)  # mutual information is non-negative
-        raw = ExpectationResult(value, au.error_bound, au.method, au.evaluations)
+        au, _, eu_nats = _residual(Q, config)
+        raw = ExpectationResult(eu_nats, au.error_bound, au.method, au.evaluations)
     elif method == "expected_kl":
         raw = expect(Q, kl_to(Q.predictive_mean()), config)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'residual' or 'expected_kl'")
     return raw.scaled(divisor(unit, Q.k, normalized))
+
+
+def _residual(Q, config) -> tuple[ExpectationResult, float, float]:
+    """E[H(theta)] in nats, H(E[theta]) in nats, and their difference clipped at 0."""
+    au = expect(Q, ENTROPY_NATS, config)
+    total_nats = entropy_nats(Q.predictive_mean().probs)
+    return au, total_nats, max(total_nats - au.value, 0.0)  # mutual information is non-negative
 
 
 def decompose(
@@ -196,9 +200,7 @@ def decompose(
 def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
     # `ensemble_decompose` calls this body directly, so that a wrapper on
     # `decompose` (perfbench/tracer.py) sees only calls of `decompose` itself.
-    au = expect(Q, ENTROPY_NATS, config)
-    total_nats = entropy_nats(Q.predictive_mean().probs)
-    eu_nats = max(total_nats - au.value, 0.0)
+    au, total_nats, eu_nats = _residual(Q, config)
 
     if check:
         direct = expect(Q, kl_to(Q.predictive_mean()), config)
@@ -226,8 +228,8 @@ def _entropy_range_nats(Q: SecondOrderDistribution) -> tuple[float, float]:
         # Support is the whole simplex for any strictly positive alpha.
         return 0.0, math.log(Q.k)
     if isinstance(Q, IntervalUniform):
-        h_lo = binary_entropy_nats(Q.lo)
-        h_hi = binary_entropy_nats(Q.hi)
+        h_lo = entropy_nats(np.array([Q.lo, 1.0 - Q.lo]))
+        h_hi = entropy_nats(np.array([Q.hi, 1.0 - Q.hi]))
         upper = math.log(2.0) if Q.lo <= 0.5 <= Q.hi else max(h_lo, h_hi)
         return min(h_lo, h_hi), upper
     if isinstance(Q, EmpiricalEnsemble):

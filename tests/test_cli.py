@@ -212,6 +212,15 @@ class TestCurve:
         code, _, _ = run_cli(capsys, "curve", "--theta-star", "0.5,oops", "--replications", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--mc-samples", "1")])
+    def test_engine_options_are_not_taken(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--replications", "1", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
 
 class TestEnsembleCommand:
     def test_matrix_file(self, capsys, tmp_path):
@@ -255,6 +264,19 @@ class TestEnsembleCommand:
         path.write_text(json.dumps({"kind": "dirichlet", "alpha": [1, 1]}))
         code, _, _ = run_cli(capsys, "ensemble", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "nan"), ("--mc-samples", "1"), ("--seed", "3")]
+    )
+    def test_engine_options_are_not_taken(self, capsys, tmp_path, flag, value):
+        path = tmp_path / "members.txt"
+        path.write_text("0.2 0.8\n0.8 0.2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", str(path), flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 def test_console_script_smoke():

@@ -15,6 +15,7 @@ from secondorder import (
     EmpiricalEnsemble,
     EngineConfig,
     FiniteMixture,
+    Integrand,
     IntegrationFailure,
     IntervalUniform,
     PointMass,
@@ -24,14 +25,17 @@ from secondorder import (
     mc_expect,
     quadrature_1d,
 )
+from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows
 
 LN2 = math.log(2.0)
 
 
-def binary_entropy_nats(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    return -t * math.log(t) - (1.0 - t) * math.log(1.0 - t)
+def binary_entropy_nats(t: np.ndarray) -> np.ndarray:
+    """-t log t - (1 - t) log(1 - t), elementwise, with 0 log 0 = 0."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -t * np.log(t) - (1.0 - t) * np.log(1.0 - t)
+    return np.where((t > 0.0) & (t < 1.0), h, 0.0)
 
 
 class TestQuadrature:
@@ -45,6 +49,7 @@ class TestQuadrature:
         expected = oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2  # in nats
         assert abs(res.value - expected) <= res.error_bound + 1e-12
         assert res.error_bound <= 1e-10
+        assert res.evaluations == 1001  # frozen panel count of the adaptive rule
 
     def test_degenerate_interval(self):
         res = quadrature_1d(lambda t: 42.0, 0.4, 0.4)
@@ -71,6 +76,18 @@ class TestQuadrature:
             for tol in tolerances
         ]
         assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+
+    def test_one_call_per_refinement_level(self):
+        calls = []
+
+        def rows_fn(rows):
+            calls.append(rows.shape[0])
+            return entropy_nats_rows(rows)
+
+        res = expect(IntervalUniform(0.0, 1.0), Integrand(rows_fn=rows_fn))
+        assert res.value == expect(IntervalUniform(0.0, 1.0), ENTROPY_NATS).value
+        assert sum(calls) == res.evaluations
+        assert 1 < len(calls) <= MAX_QUAD_DEPTH + 2
 
     def test_value_within_tolerance(self):
         expected = oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2
@@ -190,6 +207,9 @@ class TestExpectDispatch:
         res = expect(IntervalUniform(0.0, 1.0), ENTROPY_NATS)
         assert res.method == "quadrature"
         assert abs(res.value - oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2) <= res.error_bound + 1e-12
+        # Frozen panel counts of the adaptive rule at the default tolerance.
+        assert expect(IntervalUniform(0.3, 0.7), ENTROPY_NATS).evaluations == 129
+        assert expect(IntervalUniform(0.6, 1.0), ENTROPY_NATS).evaluations == 469
 
     def test_interval_mean_of_identity(self):
         res = expect(IntervalUniform(0.0, 1.0), lambda t: float(t.probs[0]))
