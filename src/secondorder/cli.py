@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Four commands over the library, all emitting CSV (default) or JSON:
+Four commands over the library. Each maps its input to a header and a list
+of rows; `main` writes them, as CSV (default) or JSON, to stdout or `--out`:
 
 - ``eval``     decompose one distribution given as inline JSON or a file;
 - ``panel``    decompose the built-in illustrative set of binary
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .distributions import (
@@ -38,16 +39,6 @@ from .simulate import DEFAULT_SCHEDULE, BayesState, learning_curve
 EVAL_HEADER = ("name", "total", "aleatoric", "epistemic", "alea_lower", "alea_upper", "error_bound")
 PANEL_HEADER = ("name", "total", "aleatoric", "epistemic")
 CURVE_HEADER = ("n", "total", "aleatoric", "epistemic", "total_minus_epistemic")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options that every command takes."""
-
-    unit: str = "bits"
-    normalized: bool = True
-    fmt: str = "csv"
-    out: str | None = None
 
 
 def _builtin_panels() -> list[tuple[str, object]]:
@@ -72,15 +63,16 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _emit(header: tuple[str, ...], rows: list[dict], cfg: RunConfig) -> None:
-    if cfg.fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
+def _emit(header: tuple[str, ...], rows: list[dict], args) -> None:
+    """Write the header's columns of each row, in header order, as CSV or JSON."""
+    table = [[row[col] for col in header] for row in rows]
+    if args.format == "json":
+        text = json.dumps([dict(zip(header, values)) for values in table], indent=2) + "\n"
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(row[col]) for col in header) for row in rows)
+        lines = [",".join(header), *(",".join(map(_fmt, values)) for values in table)]
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -93,30 +85,26 @@ def _load_spec(arg: str) -> dict:
         raise InvalidSpec(f"not valid JSON: {exc}") from exc
 
 
-def _triple_row(name: str, triple, bounds) -> dict:
-    return {
-        "name": name,
-        "total": triple.total,
-        "aleatoric": triple.aleatoric,
-        "epistemic": triple.epistemic,
-        "alea_lower": bounds.lower,
-        "alea_upper": bounds.upper,
-        "error_bound": triple.error_bound,
-    }
+def _triple_row(triple, bounds=None) -> dict:
+    """The triple's fields, plus alea_lower and alea_upper given `bounds`; `_emit` picks columns."""
+    row = asdict(triple)
+    if bounds is not None:
+        row.update(alea_lower=bounds.lower, alea_upper=bounds.upper)
+    return row
 
 
 def _engine(args) -> EngineConfig:
     return EngineConfig(tolerance=args.tol, mc_samples=args.mc_samples, seed=args.seed)
 
 
-def cmd_eval(args, cfg: RunConfig) -> None:
+def cmd_eval(args) -> tuple[tuple[str, ...], list[dict]]:
     Q = validate(_load_spec(args.spec))
-    triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=_engine(args))
-    bounds = aleatoric_bounds(Q, unit=cfg.unit, normalized=cfg.normalized)
-    _emit(EVAL_HEADER, [_triple_row(Q.kind, triple, bounds)], cfg)
+    triple = decompose(Q, unit=args.unit, normalized=not args.raw, config=_engine(args))
+    bounds = aleatoric_bounds(Q, unit=args.unit, normalized=not args.raw)
+    return EVAL_HEADER, [{"name": Q.kind, **_triple_row(triple, bounds)}]
 
 
-def cmd_panel(args, cfg: RunConfig) -> None:
+def cmd_panel(args) -> tuple[tuple[str, ...], list[dict]]:
     engine = _engine(args)
     if args.panel_file:
         entries = json.loads(Path(args.panel_file).read_text())
@@ -131,16 +119,9 @@ def cmd_panel(args, cfg: RunConfig) -> None:
         panels = _builtin_panels()
     rows = []
     for name, Q in panels:
-        triple = decompose(Q, unit=cfg.unit, normalized=cfg.normalized, config=engine)
-        rows.append(
-            {
-                "name": name,
-                "total": triple.total,
-                "aleatoric": triple.aleatoric,
-                "epistemic": triple.epistemic,
-            }
-        )
-    _emit(PANEL_HEADER, rows, cfg)
+        triple = decompose(Q, unit=args.unit, normalized=not args.raw, config=engine)
+        rows.append({"name": name, **_triple_row(triple)})
+    return PANEL_HEADER, rows
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -150,35 +131,24 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise InvalidSpec(f"{what} must be a comma-separated list of numbers, got {text!r}") from exc
 
 
-def cmd_curve(args, cfg: RunConfig) -> None:
-    theta_star = _parse_floats(args.theta_star, "--theta-star")
-    prior = BayesState(_parse_floats(args.prior, "--prior"))
-    schedule = _parse_floats(args.schedule, "--schedule")
-    if args.replications < 1:
-        raise InvalidSpec(f"--replications must be >= 1, got {args.replications}")
+def cmd_curve(args) -> tuple[tuple[str, ...], list[dict]]:
     curve = learning_curve(
-        theta_star,
-        prior=prior,
-        schedule=schedule,
+        _parse_floats(args.theta_star, "--theta-star"),
+        prior=BayesState(_parse_floats(args.prior, "--prior")),
+        schedule=_parse_floats(args.schedule, "--schedule"),
         replications=args.replications,
         seed=args.seed,
-        unit=cfg.unit,
-        normalized=cfg.normalized,
+        unit=args.unit,
+        normalized=not args.raw,
     )
     rows = [
-        {
-            "n": point.n,
-            "total": point.triple.total,
-            "aleatoric": point.triple.aleatoric,
-            "epistemic": point.triple.epistemic,
-            "total_minus_epistemic": point.total_minus_epistemic,
-        }
-        for point in curve
+        {"n": p.n, **_triple_row(p.triple), "total_minus_epistemic": p.total_minus_epistemic}
+        for p in curve
     ]
-    _emit(CURVE_HEADER, rows, cfg)
+    return CURVE_HEADER, rows
 
 
-def cmd_ensemble(args, cfg: RunConfig) -> None:
+def cmd_ensemble(args) -> tuple[tuple[str, ...], list[dict]]:
     text = Path(args.members).read_text()
     if text.lstrip().startswith("{"):
         spec = _load_spec(text)
@@ -187,9 +157,10 @@ def cmd_ensemble(args, cfg: RunConfig) -> None:
         ensemble = validate(spec)
     else:
         ensemble = EmpiricalEnsemble(parse_member_matrix(text))
-    triple = ensemble_decompose(ensemble, unit=cfg.unit, normalized=cfg.normalized)
-    bounds = aleatoric_bounds(ensemble, unit=cfg.unit, normalized=cfg.normalized)
-    _emit(EVAL_HEADER, [_triple_row(f"ensemble_M{ensemble.m}_K{ensemble.k}", triple, bounds)], cfg)
+    triple = ensemble_decompose(ensemble, unit=args.unit, normalized=not args.raw)
+    bounds = aleatoric_bounds(ensemble, unit=args.unit, normalized=not args.raw)
+    name = f"ensemble_M{ensemble.m}_K{ensemble.k}"
+    return EVAL_HEADER, [{"name": name, **_triple_row(triple, bounds)}]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,11 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(unit=args.unit, normalized=not args.raw, fmt=args.format, out=args.out)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args, cfg)
+        header, rows = args.func(args)
+        _emit(header, rows, args)
     except (DistributionError, OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

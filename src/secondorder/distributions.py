@@ -51,6 +51,13 @@ def _frozen(values) -> np.ndarray:
 _ONE_WEIGHT = _frozen([1.0])
 
 
+def _mean_of(mean: np.ndarray, parts) -> "Categorical":
+    """The weighted sum `mean` of the rows of `parts`, keeping positive every cell a row holds."""
+    if not mean.all():  # a subnormal cell can underflow to 0; 5e-324 is the smallest positive float
+        mean[(mean == 0.0) & (np.asarray(parts) > 0.0).any(axis=0)] = 5e-324
+    return Categorical(mean)
+
+
 def _as_floats(values, what: str) -> np.ndarray:
     """`values` as a float array; ragged nesting is a DimensionMismatch, other junk an InvalidSpec."""
     try:
@@ -271,10 +278,11 @@ class FiniteMixture(SecondOrderDistribution):
         return self.components[0].k
 
     def predictive_mean(self) -> Categorical:
+        means = [comp.predictive_mean().probs for comp in self.components]
         mean = np.zeros(self.k)
-        for wi, comp in zip(self.weights, self.components):
-            mean += wi * comp.predictive_mean().probs
-        return Categorical(mean)
+        for wi, row in zip(self.weights, means):
+            mean += wi * row
+        return _mean_of(mean, means)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)
@@ -334,7 +342,7 @@ class EmpiricalEnsemble(SecondOrderDistribution):
         return self._matrix.shape[0]
 
     def predictive_mean(self) -> Categorical:
-        return Categorical(self.weights @ self._matrix)
+        return _mean_of(self.weights @ self._matrix, self._matrix)
 
     def mean(self) -> Categorical:
         """Weighted mean member prediction; the same as `predictive_mean`."""

@@ -27,8 +27,7 @@ def js_divergence(e: EmpiricalEnsemble, unit: str = "bits") -> float:
     Always finite: the mean dominates every member with positive weight.
     Zero exactly when all members coincide.
     """
-    mean = e.weights @ e.member_matrix
-    kl_terms = kl_nats_rows(e.member_matrix, mean)
+    kl_terms = kl_nats_rows(e.member_matrix, e.predictive_mean().probs)
     nats = float(e.weights @ kl_terms)
     return max(nats, 0.0) / divisor(unit)
 

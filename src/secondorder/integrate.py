@@ -83,7 +83,6 @@ class EngineConfig:
     """
 
     tolerance: float = 1e-10
-    max_evals: int = 1_000_000
     mc_samples: int = 100_000
     seed: int = 0
 
@@ -92,8 +91,6 @@ class EngineConfig:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        if self.max_evals < 5:
-            raise ValueError("max_evals too small for a single Simpson panel")
         if self.mc_samples < 2:
             raise ValueError("need at least 2 Monte Carlo samples")
 
@@ -356,7 +353,6 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
             Q.lo,
             Q.hi,
             tolerance=cfg.tolerance * width,
-            max_evals=cfg.max_evals,
         )
         return integral.scaled(width)
 

@@ -163,7 +163,7 @@ def epistemic_mutual_information(
     a useful cross-check.
     """
     if method == "residual":
-        au, _, eu_nats = _residual(Q, config)
+        au, _, eu_nats = _residual(Q, Q.predictive_mean(), config)
         raw = ExpectationResult(eu_nats, au.error_bound, au.method, au.evaluations)
     elif method == "expected_kl":
         raw = expect(Q, kl_to(Q.predictive_mean()), config)
@@ -172,10 +172,10 @@ def epistemic_mutual_information(
     return raw.scaled(divisor(unit, Q.k, normalized))
 
 
-def _residual(Q, config) -> tuple[ExpectationResult, float, float]:
-    """E[H(theta)] in nats, H(E[theta]) in nats, and their difference clipped at 0."""
+def _residual(Q, mean: Categorical, config) -> tuple[ExpectationResult, float, float]:
+    """E[H(theta)] in nats, H(mean) in nats, and their difference clipped at 0."""
     au = expect(Q, ENTROPY_NATS, config)
-    total_nats = entropy_nats(Q.predictive_mean().probs)
+    total_nats = entropy_nats(mean.probs)
     return au, total_nats, max(total_nats - au.value, 0.0)  # mutual information is non-negative
 
 
@@ -200,10 +200,11 @@ def decompose(
 def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
     # `ensemble_decompose` calls this body directly, so that a wrapper on
     # `decompose` (perfbench/tracer.py) sees only calls of `decompose` itself.
-    au, total_nats, eu_nats = _residual(Q, config)
+    mean = Q.predictive_mean()
+    au, total_nats, eu_nats = _residual(Q, mean, config)
 
     if check:
-        direct = expect(Q, kl_to(Q.predictive_mean()), config)
+        direct = expect(Q, kl_to(mean), config)
         combined = au.error_bound + direct.error_bound
         gap = abs(direct.value - eu_nats)
         if gap > max(10.0 * combined, IDENTITY_TOLERANCE):

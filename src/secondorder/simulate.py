@@ -32,15 +32,10 @@ DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
 _CURVE_MC_SAMPLES = 2000
 
 
-@dataclass(frozen=True, eq=False)
-class BayesState:
-    """Dirichlet parameters of a conjugate learner: prior plus outcome counts."""
+class BayesState(Dirichlet):
+    """A conjugate learner's state: prior plus outcome counts, which are its Dirichlet's alpha."""
 
-    counts: np.ndarray
-
-    def __init__(self, counts):
-        # Counts are exactly the posterior's concentrations; Dirichlet validates them.
-        object.__setattr__(self, "counts", Dirichlet(counts).alpha)
+    __slots__ = ()
 
     @classmethod
     def uniform_prior(cls, k: int) -> "BayesState":
@@ -48,11 +43,11 @@ class BayesState:
         return cls(np.ones(k))
 
     @property
-    def k(self) -> int:
-        return self.counts.shape[0]
+    def counts(self) -> np.ndarray:
+        return self.alpha
 
     def posterior(self) -> Dirichlet:
-        return Dirichlet(self.counts)
+        return self
 
 
 def bayes_update(state: BayesState, outcome: int) -> BayesState:

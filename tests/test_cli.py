@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import oracles as oc
-from secondorder.cli import main
+from secondorder.cli import CURVE_HEADER, EVAL_HEADER, PANEL_HEADER, main
 
 DIRAC_MIX_SPEC = json.dumps(
     {
@@ -95,6 +95,12 @@ class TestEval:
         rows = json.loads(out)
         assert rows[0]["name"] == "point"
         assert rows[0]["total"] == 1.0
+
+    def test_subnormal_ensemble_exits_0(self, capsys):
+        spec = '{"kind":"ensemble","members":[[5e-324,1],[5e-324,1]]}'
+        code, out, err = run_cli(capsys, "eval", spec)
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("ensemble,")
 
     def test_raw_nats(self, capsys):
         code, out, _ = run_cli(
@@ -277,6 +283,30 @@ class TestEnsembleCommand:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["eval", '{"kind":"dirichlet","alpha":[1,2]}'], EVAL_HEADER),
+        (["panel"], PANEL_HEADER),
+        (["curve", "--replications", "1", "--schedule", "0,1,2"], CURVE_HEADER),
+        (["ensemble", "MEMBERS"], EVAL_HEADER),
+    ],
+    ids=["eval", "panel", "curve", "ensemble"],
+)
+def test_json_rows_have_the_csv_columns(capsys, tmp_path, argv, header):
+    path = tmp_path / "members.txt"
+    path.write_text("0.2 0.8\n0.8 0.2\n")
+    argv = [str(path) if arg == "MEMBERS" else arg for arg in argv]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert rows
+    for row in rows:
+        assert tuple(row) == header
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert tuple(csv_out.splitlines()[0].split(",")) == header
 
 
 def test_console_script_smoke():

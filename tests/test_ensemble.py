@@ -151,6 +151,21 @@ class TestJSDivergence:
         e = EnsemblePrediction([[1, 0, 0], [0, 0.5, 0.5], [0.5, 0.5, 0]])
         assert math.isfinite(js_divergence(e))
 
+    @pytest.mark.parametrize(
+        "members",
+        [[[5e-324, 1], [5e-324, 1]], [[5e-324, 1], [0, 1]]],
+        ids=["identical-subnormal", "subnormal-and-zero"],
+    )
+    def test_subnormal_members_stay_finite(self, members):
+        # 5e-324 / 2 underflows to 0 in the weighted mean; a cell a member holds must stay positive.
+        e = EnsemblePrediction(members)
+        assert e.predictive_mean().probs[0] > 0.0
+        assert math.isfinite(js_divergence(e))
+        mix = FiniteMixture([0.5, 0.5], [PointMass(m) for m in members])
+        for q in (e, mix):
+            triple = decompose(q)  # the expected-KL check must not read inf
+            assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
+
 
 class TestMemberMatrixParsing:
     def test_basic(self):
