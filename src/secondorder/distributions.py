@@ -55,7 +55,7 @@ def _mean_of(mean: np.ndarray, parts) -> "Categorical":
     """The weighted sum `mean` of the rows of `parts`, keeping positive every cell a row holds."""
     if not mean.all():  # a subnormal cell can underflow to 0; 5e-324 is the smallest positive float
         mean[(mean == 0.0) & (np.asarray(parts) > 0.0).any(axis=0)] = 5e-324
-    return Categorical(mean)
+    return Categorical._normalized(mean)
 
 
 def _as_floats(values, what: str) -> np.ndarray:
@@ -116,6 +116,14 @@ class Categorical:
         obj = object.__new__(cls)
         obj._probs = row
         return obj
+
+    @classmethod
+    def _normalized(cls, row: np.ndarray) -> "Categorical":
+        # Fast path for means built inside the library: finite, non-negative and
+        # summing to 1 up to rounding; renormalized exactly as the validator does.
+        probs = row / row.sum()
+        probs.flags.writeable = False
+        return cls._from_row(probs)
 
     @property
     def probs(self) -> np.ndarray:
@@ -183,6 +191,9 @@ class Dirichlet(SecondOrderDistribution):
             )
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise InvalidSpec("Dirichlet concentrations must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()):
+                raise InvalidSpec("Dirichlet concentration total overflows to inf")
         self.alpha = _frozen(arr)
 
     @property
@@ -190,7 +201,7 @@ class Dirichlet(SecondOrderDistribution):
         return self.alpha.shape[0]
 
     def predictive_mean(self) -> Categorical:
-        return Categorical(self.alpha / self.alpha.sum())
+        return Categorical._normalized(self.alpha / self.alpha.sum())
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)
@@ -228,7 +239,9 @@ class IntervalUniform(SecondOrderDistribution):
 
     def predictive_mean(self) -> Categorical:
         mid = 0.5 * (self.lo + self.hi)
-        return Categorical((mid, 1.0 - mid))
+        # A one-ulp or subnormal interval can round a cell it holds to 0.
+        ends = ((self.lo, 1.0 - self.lo), (self.hi, 1.0 - self.hi))
+        return _mean_of(np.array([mid, 1.0 - mid]), ends)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)

@@ -9,7 +9,11 @@ with explicit error accounting:
 - adaptive Simpson quadrature for interval uniforms, which evaluates each
   refinement level as one batch (`quadrature_1d` calls its integrand on
   1-d arrays of abscissae);
-- seeded Monte Carlo for everything else, with a 3-sigma error bound.
+- seeded Monte Carlo for everything else, with a 3-sigma error bound; it
+  draws and scores chunks of at most `MC_CHUNK_CELLS` cells (rows x K) and
+  merges their sums and squared deviations, so its memory is bounded
+  whatever K and the sample count are, and a Dirichlet draws the same
+  seeded rows as in one pass.
 
 Mixtures split linearly over their components and combine error bounds
 additively (conservative). Every route evaluates an integrand through one
@@ -41,6 +45,12 @@ METHODS = ("exact", "closed_form", "quadrature", "monte_carlo")
 _METHOD_RANK = {m: i for i, m in enumerate(METHODS)}
 
 MAX_QUAD_DEPTH = 60
+
+# Monte Carlo draws and scores at most this many cells (rows x K) at a time:
+# 64 KiB per float64 array, under glibc's default 128 KiB mmap threshold.
+# Larger chunk arrays were mapped and unmapped per chunk, and the page faults
+# to map them again cost more than the extra chunk iterations.
+MC_CHUNK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -294,18 +304,41 @@ def mc_expect(
 ) -> ExpectationResult:
     """Monte Carlo estimate of E[f(theta)] with a 3-standard-error bound.
 
-    Deterministic given `seed`: a fresh PCG64 generator is created per call
-    and samples are drawn in a single pass.
+    Deterministic given `seed`: a fresh PCG64 generator is created per call.
+    Samples are drawn from it and scored in chunks of
+    max(1, MC_CHUNK_CELLS // K) rows, so memory stays bounded whatever K and
+    `n_samples` are; the chunk count depends on n and K only. The chunk sums
+    add up to the value's numerator, and each chunk's sum of squared
+    deviations is merged into the running one pairwise (Chan, Golub &
+    LeVeque). With one chunk the value is sum / n and the variance the
+    two-pass ((x - mean)**2).sum() / (n - 1); an infinite value stays
+    infinite.
+
+    A Dirichlet or interval uniform draws the same rows in chunks as in one
+    pass. A mixture or ensemble passed here directly draws its component
+    indices per chunk, a different stream from one pass (`expect` never
+    samples those: it splits mixtures and sums ensembles exactly).
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     integrand = as_integrand(f)
     rng = np.random.default_rng(seed)
-    rows = Q.sample_rows(n_samples, rng)
-    values = np.asarray(integrand.rows_fn(rows), dtype=float)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1)) / math.sqrt(n_samples)
-    return ExpectationResult(mean, 3.0 * stderr, "monte_carlo", n_samples)
+    chunk = max(1, MC_CHUNK_CELLS // Q.k)
+    done = 0
+    total = m2 = 0.0
+    while done < n_samples:
+        n = min(chunk, n_samples - done)
+        values = np.asarray(integrand.rows_fn(Q.sample_rows(n, rng)), dtype=float)
+        chunk_sum = values.sum()
+        chunk_m2 = float(((values - chunk_sum / n) ** 2).sum())
+        if done:
+            delta = chunk_sum / n - total / done
+            m2 += delta * delta * done * n / (done + n)
+        m2 += chunk_m2
+        total += chunk_sum
+        done += n
+    stderr = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+    return ExpectationResult(float(total / n_samples), 3.0 * stderr, "monte_carlo", n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +385,7 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
             lambda ts: integrand.rows_fn(np.column_stack((ts, 1.0 - ts))),
             Q.lo,
             Q.hi,
-            tolerance=cfg.tolerance * width,
+            tolerance=max(cfg.tolerance * width, 5e-324),  # the product underflows for a subnormal width
         )
         return integral.scaled(width)
 

@@ -102,6 +102,11 @@ class TestEval:
         assert code == 0, err
         assert out.splitlines()[1].startswith("ensemble,")
 
+    def test_subnormal_interval_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "eval", '{"kind":"interval_uniform","lo":0,"hi":5e-324}')
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("interval_uniform,")
+
     def test_raw_nats(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corpus import random_distribution
+from corpus import random_distribution, random_ensemble
 from oracles import mc_dirichlet_mean
 from secondorder import (
     Categorical,
@@ -63,6 +63,10 @@ class TestConstructors:
             Dirichlet([1.0, 0.0])
         with pytest.raises(InvalidSpec):
             Dirichlet([1.0, -2.0])
+
+    def test_dirichlet_rejects_overflowing_total(self):
+        with pytest.raises(InvalidSpec, match="total"):
+            Dirichlet([1e308, 1e308])
 
     def test_interval_rejects_bad_ordering(self):
         with pytest.raises(InvalidSpec):
@@ -189,6 +193,23 @@ class TestPredictiveMean:
     def test_ensemble(self):
         q = EmpiricalEnsemble([[0.2, 0.8], [0.8, 0.2], [0.5, 0.5]])
         np.testing.assert_allclose(q.predictive_mean().probs, [0.5, 0.5])
+
+    def test_matches_the_validator_bit_for_bit(self):
+        # Means are renormalized without re-validation, exactly as the validator renormalizes.
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            k = int(rng.integers(2, 11))
+            alpha = rng.uniform(0.1, 50.0, k)
+            mean = Dirichlet(alpha).predictive_mean().probs
+            assert not mean.flags.writeable
+            assert np.array_equal(mean, Categorical(alpha / alpha.sum()).probs)
+            lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+            mid = 0.5 * (lo + hi)
+            mean = IntervalUniform(lo, hi).predictive_mean().probs
+            assert np.array_equal(mean, Categorical((mid, 1.0 - mid)).probs)
+            q = EmpiricalEnsemble(random_ensemble(rng))
+            mean = q.predictive_mean().probs
+            assert np.array_equal(mean, Categorical(q.weights @ q.member_matrix).probs)
 
     def test_on_simplex_for_random_corpus(self):
         rng = np.random.default_rng(5)

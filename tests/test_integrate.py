@@ -1,6 +1,9 @@
 """Expectation engines: quadrature, digamma closed form, Monte Carlo, dispatch."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from secondorder import (
     mc_expect,
     quadrature_1d,
 )
-from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows
+from secondorder import integrate
+from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows, kl_to
 
 LN2 = math.log(2.0)
 
@@ -175,6 +179,65 @@ class TestMCExpect:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, n_samples=1, seed=0)
+
+    def test_draws_in_chunks(self):
+        calls = []
+
+        class _Recording(Dirichlet):
+            def sample_rows(self, n, rng):
+                calls.append(n)
+                return super().sample_rows(n, rng)
+
+        mc_expect(_Recording(np.ones(100)), ENTROPY_NATS, n_samples=100_000, seed=0)
+        chunk = integrate.MC_CHUNK_CELLS // 100
+        assert max(calls) <= chunk
+        assert sum(calls) == 100_000
+        assert len(calls) == -(-100_000 // chunk)
+
+    @staticmethod
+    def _single_pass(q, integrand, n, seed):
+        """The unchunked estimator: every row drawn at once, NumPy's mean and std."""
+        values = integrand.rows_fn(q.sample_rows(n, np.random.default_rng(seed)))
+        return float(values.mean()), 3.0 * (float(values.std(ddof=1)) / math.sqrt(n))
+
+    @pytest.mark.parametrize("k", [2, 7, 100])
+    def test_chunked_matches_single_pass(self, k):
+        q = Dirichlet(np.linspace(0.5, 4.0, k))
+        chunk = integrate.MC_CHUNK_CELLS // k
+        for integrand in (ENTROPY_NATS, kl_to(q.predictive_mean())):
+            n = 3 * chunk + 17  # several chunks, the last one partial
+            res = mc_expect(q, integrand, n_samples=n, seed=k)
+            value, bound = self._single_pass(q, integrand, n, k)
+            assert res.evaluations == n
+            assert abs(res.value - value) <= 1e-13
+            assert abs(res.error_bound - bound) <= 1e-13
+            # One chunk reduces exactly as the single pass does.
+            res = mc_expect(q, integrand, n_samples=chunk, seed=k)
+            assert (res.value, res.error_bound) == self._single_pass(q, integrand, chunk, k)
+
+    def test_infinite_values_stay_infinite_across_chunks(self):
+        infinite = Integrand(lambda rows: np.full(rows.shape[0], np.inf))
+        with np.errstate(invalid="ignore"):  # inf - inf in the squared deviations
+            res = mc_expect(Dirichlet(np.ones(100)), infinite, n_samples=1000, seed=0)
+        assert res.value == math.inf
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS and VmHWM")
+    def test_memory_does_not_grow_with_samples(self):
+        # Peak RSS above the post-import RSS of a fresh process, for a K = 100
+        # Dirichlet at the default 100k samples (10M cells, 80 MB per array unchunked).
+        child = (
+            "import re, numpy as np, secondorder\n"
+            "def kib(key):\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return int(re.search(key + r':\\s+(\\d+) kB', fh.read()).group(1))\n"
+            "base = kib('VmRSS')\n"
+            "secondorder.decompose(secondorder.Dirichlet(np.ones(100)))\n"
+            "print(kib('VmHWM') - base)\n"
+        )
+        src = os.path.dirname(os.path.dirname(integrate.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+        assert int(out.stdout) < 64 * 1024
 
 
 class TestExpectDispatch:

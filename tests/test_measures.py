@@ -12,9 +12,11 @@ from secondorder import (
     ConsistencyFailure,
     DimensionMismatch,
     Dirichlet,
+    DistributionError,
     EmpiricalEnsemble,
     EngineConfig,
     FiniteMixture,
+    IntegrationFailure,
     IntervalUniform,
     PointMass,
     UncertaintyTriple,
@@ -207,6 +209,47 @@ class TestDecompose:
             decompose(_BrokenSampler([3.0, 4.0]), config=FAST)
         # the guard can be disabled explicitly
         decompose(_BrokenSampler([3.0, 4.0]), config=FAST, check=False)
+
+    def test_consistency_guard_trips_on_sampler_broken_after_first_chunk(self):
+        calls = []
+
+        class _LateBreak(Dirichlet):
+            def sample_rows(self, n, rng):  # honest first chunk, then all mass on one vertex
+                calls.append(n)
+                rows = super().sample_rows(n, rng)
+                if len(calls) > 1:
+                    rows[:] = 0.0
+                    rows[:, 0] = 1.0
+                return rows
+
+        with pytest.raises(ConsistencyFailure):
+            decompose(_LateBreak([3.0, 4.0]), config=EngineConfig(mc_samples=100_000, seed=3))
+        assert len(calls) > 1
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(1.0 - 2.0**-53, 1.0), (0.0, 5e-324)], ids=["one-ulp-at-edge", "subnormal-width"]
+    )
+    def test_hairline_interval_gives_finite_triple(self, lo, hi):
+        q = IntervalUniform(lo, hi)
+        assert np.all(q.predictive_mean().probs > 0.0)  # both cells hold mass
+        triple = decompose(q)
+        assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_extreme_parameter_grid(self):
+        # Every case ends in a finite triple or a named library error. At
+        # alpha = 1e-6 most gamma-normalized rows are 0/0 (numpy warns), which
+        # the check reports as a ConsistencyFailure (ROADMAP item 2a).
+        named = (DistributionError, IntegrationFailure, ConsistencyFailure)
+        cfg = EngineConfig(mc_samples=2000, seed=0)
+        for alpha in (1e-6, 1e-2, 1.0, 1e3, 1e12):
+            for k in (2, 10, 100, 1000):
+                try:
+                    triple = decompose(Dirichlet(np.full(k, alpha)), config=cfg)
+                except named:
+                    assert alpha < 1e-2, (alpha, k)
+                    continue
+                assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
 
     def test_point_mass_mixtures_are_error_free(self):
         rng = np.random.default_rng(11)
