@@ -77,12 +77,17 @@ def _emit(header: tuple[str, ...], rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def _load_spec(arg: str) -> dict:
-    text = arg if arg.lstrip().startswith("{") else Path(arg).read_text()
+def _parse_json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"not valid JSON: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise InvalidSpec("JSON nested too deeply") from None
+
+
+def _load_spec(arg: str) -> dict:
+    return _parse_json(arg if arg.lstrip().startswith("{") else Path(arg).read_text())
 
 
 def _triple_row(triple, bounds=None) -> dict:
@@ -107,7 +112,7 @@ def cmd_eval(args) -> tuple[tuple[str, ...], list[dict]]:
 def cmd_panel(args) -> tuple[tuple[str, ...], list[dict]]:
     engine = _engine(args)
     if args.panel_file:
-        entries = json.loads(Path(args.panel_file).read_text())
+        entries = _parse_json(Path(args.panel_file).read_text())
         if not isinstance(entries, list):
             raise InvalidSpec("panel file must hold a JSON list of {name, spec} objects")
         panels = []

@@ -51,6 +51,16 @@ def _frozen(values) -> np.ndarray:
 _ONE_WEIGHT = _frozen([1.0])
 
 
+def row_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum of each row of an (n, K) matrix, as a matrix-vector product.
+
+    numpy's `sum(axis=1)` reduces each short row separately and costs several
+    times more on tall, narrow matrices. At K = 2 the sums are bit-identical;
+    at larger K they may differ from it in the last place.
+    """
+    return rows @ np.ones(rows.shape[1])
+
+
 def _mean_of(mean: np.ndarray, parts) -> "Categorical":
     """The weighted sum `mean` of the rows of `parts`, keeping positive every cell a row holds."""
     if not mean.all():  # a subnormal cell can underflow to 0; 5e-324 is the smallest positive float
@@ -201,13 +211,17 @@ class Dirichlet(SecondOrderDistribution):
         return self.alpha.shape[0]
 
     def predictive_mean(self) -> Categorical:
-        return Categorical._normalized(self.alpha / self.alpha.sum())
+        # A subnormal concentration can round its cell of alpha / a0 to 0.
+        return _mean_of(self.alpha / self.alpha.sum(), (self.alpha,))
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)
-        # Independent Gamma draws, normalized per row.
-        draws = rng.gamma(shape=self.alpha, size=(n, self.k))
-        return draws / draws.sum(axis=1, keepdims=True)
+        # Independent standard Gamma draws (the same variates and generator
+        # state as `rng.gamma` with unit scale), normalized per row in place.
+        # A row whose draws all underflow to 0 becomes 0/0 = NaN.
+        draws = rng.standard_gamma(self.alpha, size=(n, self.k))
+        draws /= row_sums(draws)[:, np.newaxis]
+        return draws
 
     def __repr__(self) -> str:
         return f"Dirichlet({self.alpha.tolist()!r})"

@@ -35,6 +35,7 @@ from .distributions import (
     FiniteMixture,
     IntervalUniform,
     SecondOrderDistribution,
+    row_sums,
 )
 from .errors import IntegrationFailure
 from .units import divisor
@@ -153,13 +154,18 @@ def entropy_nats_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def kl_nats_rows(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """KL(row || reference) in nats for each row; +inf where absolute continuity fails."""
+    """KL(row || reference) in nats for each row; +inf where absolute continuity fails.
+
+    Zero and NaN entries of `rows` contribute 0; `rows` is never written.
+    """
     rows = np.asarray(rows, dtype=float)
     reference = np.asarray(reference, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log(rows) - np.log(reference)
-        contrib = np.where(rows > 0.0, rows * log_ratio, 0.0)
-    return contrib.sum(axis=1)
+        contrib = np.log(rows)  # a new array: the terms are built in place on it
+        contrib -= np.log(reference)
+        contrib *= rows
+    np.copyto(contrib, 0.0, where=~(rows > 0.0))
+    return row_sums(contrib)
 
 
 def entropy_nats(probs: np.ndarray) -> float:
@@ -214,12 +220,16 @@ def dirichlet_expected_entropy(alpha, unit: str = "nats") -> float:
     E[H(theta)] = psi(a0 + 1) - sum_k (alpha_k / a0) psi(alpha_k + 1) in
     nats, with a0 the concentration total.
     """
-    arr = Dirichlet(alpha).alpha
-    a0 = float(arr.sum())
+    return _dirichlet_expected_entropy_nats(Dirichlet(alpha).alpha) / divisor(unit)
+
+
+def _dirichlet_expected_entropy_nats(alpha: np.ndarray) -> float:
+    """The closed form in nats on an already validated concentration vector."""
+    a0 = float(alpha.sum())
     nats = digamma(a0 + 1.0) - sum(
-        float(ai) / a0 * digamma(float(ai) + 1.0) for ai in arr
+        float(ai) / a0 * digamma(float(ai) + 1.0) for ai in alpha
     )
-    return max(nats, 0.0) / divisor(unit)
+    return max(nats, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +381,7 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
 
     if isinstance(Q, Dirichlet):
         if integrand.kind == "entropy":
-            return ExpectationResult(
-                dirichlet_expected_entropy(Q.alpha, "nats"), 0.0, "closed_form", 0
-            )
+            return ExpectationResult(_dirichlet_expected_entropy_nats(Q.alpha), 0.0, "closed_form", 0)
         return mc_expect(Q, integrand, cfg.mc_samples, cfg.seed)
 
     if isinstance(Q, IntervalUniform):

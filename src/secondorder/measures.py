@@ -207,7 +207,8 @@ def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
         direct = expect(Q, kl_to(mean), config)
         combined = au.error_bound + direct.error_bound
         gap = abs(direct.value - eu_nats)
-        if gap > max(10.0 * combined, IDENTITY_TOLERANCE):
+        # Written so that a NaN gap or bound (from an infinite or NaN value) trips too.
+        if not gap <= max(10.0 * combined, IDENTITY_TOLERANCE):
             raise ConsistencyFailure(
                 f"epistemic routes disagree: residual {eu_nats!r} vs expected-KL "
                 f"{direct.value!r} (gap {gap:.3e}, combined error bound {combined:.3e})"

@@ -87,6 +87,13 @@ class TestEval:
         assert out == ""
         assert "must be" in err
 
+    def test_deeply_nested_json_exits_2(self, capsys):
+        spec = '{"kind":"point","theta":' + "[" * 100_000 + "]" * 100_000 + "}"
+        code, out, err = run_cli(capsys, "eval", spec)
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", '{"kind":"point","theta":[0.5,0.5]}', "--format", "json"
@@ -156,6 +163,13 @@ class TestPanel:
         _, first, _ = run_cli(capsys, "panel")
         _, second, _ = run_cli(capsys, "panel")
         assert first == second
+
+    def test_deeply_nested_panel_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "panels.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "panel", "--panel-file", str(path))
+        assert code == 2
+        assert "nested too deeply" in err
 
     def test_panel_file_override(self, capsys, tmp_path):
         path = tmp_path / "panels.json"

@@ -211,6 +211,12 @@ class TestPredictiveMean:
             mean = q.predictive_mean().probs
             assert np.array_equal(mean, Categorical(q.weights @ q.member_matrix).probs)
 
+    def test_dirichlet_subnormal_concentration_keeps_its_cell(self):
+        # 5e-324 / 2 rounds to 0 in alpha / a0; the cell is held, so the mean keeps it positive.
+        mean = Dirichlet([5e-324, 2.0]).predictive_mean().probs
+        assert mean[0] > 0.0
+        assert mean[1] == 1.0
+
     def test_on_simplex_for_random_corpus(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -295,3 +301,23 @@ class TestSample:
         rows = IntervalUniform(0.0, 1.0).sample_rows(10**5, rng)
         stderr = rows[:, 0].std(ddof=1) / np.sqrt(rows.shape[0])
         assert abs(rows[:, 0].mean() - 0.5) <= 3.0 * stderr
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 25.0])
+    def test_dirichlet_draws_the_gamma_stream(self, k, scale):
+        # The rows normalize exactly the variates of rng.gamma(shape=alpha) and leave
+        # the generator where it would leave it.
+        alpha = np.random.default_rng(k).uniform(0.5, 1.5, k) * scale
+        rng_rows, rng_gamma = np.random.default_rng(3), np.random.default_rng(3)
+        rows = Dirichlet(alpha).sample_rows(500, rng_rows)
+        draws = rng_gamma.gamma(shape=alpha, size=(500, k))
+        assert rng_rows.bit_generator.state == rng_gamma.bit_generator.state
+        with np.errstate(invalid="ignore"):
+            expected = draws / draws.sum(axis=1, keepdims=True)
+        held = ~np.isnan(expected).any(axis=1)
+        np.testing.assert_array_equal(np.isnan(rows).any(axis=1), ~held)  # 0/0 rows stay NaN
+        if k == 2:
+            np.testing.assert_array_equal(rows, expected)
+        else:  # a row total may round differently in the last place
+            np.testing.assert_allclose(rows[held], expected[held], rtol=0, atol=4.5e-16)

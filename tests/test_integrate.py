@@ -29,7 +29,7 @@ from secondorder import (
     quadrature_1d,
 )
 from secondorder import integrate
-from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows, kl_to
+from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows, kl_nats_rows, kl_to
 
 LN2 = math.log(2.0)
 
@@ -131,6 +131,57 @@ class TestDigamma:
             digamma(-1.0)
 
 
+def _kl_rows_by_the_formula(rows, reference):
+    """Each row's sum of rows * (log rows - log reference), with 0 where the entry is 0 or NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        contrib = np.where(rows > 0.0, rows * (np.log(rows) - np.log(reference)), 0.0)
+    return contrib.sum(axis=1)
+
+
+class TestKLRows:
+    def _rows(self, k):
+        rng = np.random.default_rng(k)
+        rows = rng.dirichlet(np.full(k, 0.5), size=40)
+        rows[::3, 0] = 0.0  # zero entries score 0
+        rows[1::7] = np.nan  # a NaN row scores 0
+        rows[2, :] = 0.0
+        rows[2, 1] = 1.0  # a vertex
+        return rows
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_matches_the_formula(self, k):
+        rows = self._rows(k)
+        reference = np.random.default_rng(99).dirichlet(np.ones(k))
+        got = kl_nats_rows(rows, reference)
+        expected = _kl_rows_by_the_formula(rows, reference)
+        if k == 2:
+            np.testing.assert_array_equal(got, expected)
+        else:  # the row sums may round differently in the last place
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=1e-15)
+        assert np.all(got[1::7] == 0.0)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_zero_reference_cell_under_positive_entry_is_infinite(self, k):
+        rows = self._rows(k)
+        reference = np.full(k, 1.0 / (k - 1))
+        reference[0] = 0.0
+        got = kl_nats_rows(rows, reference)
+        expected = _kl_rows_by_the_formula(rows, reference)
+        assert np.array_equal(np.isinf(got), np.isinf(expected))
+        assert np.isinf(got).any() and (got[::3] < np.inf).all()  # rows with a 0 first cell stay finite
+        finite = ~np.isinf(expected)
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=1e-15, atol=1e-15)
+
+    def test_never_writes_its_input(self):
+        rows = self._rows(3)
+        reference = np.array([0.2, 0.3, 0.5])
+        rows.flags.writeable = False
+        reference.flags.writeable = False
+        before = rows.copy()
+        kl_nats_rows(rows, reference)
+        np.testing.assert_array_equal(rows, before)
+
+
 class TestDirichletExpectedEntropy:
     def test_uniform_alpha_matches_interval_uniform(self):
         value = dirichlet_expected_entropy([1.0, 1.0], "bits")
@@ -156,6 +207,20 @@ class TestDirichletExpectedEntropy:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             dirichlet_expected_entropy([1.0, 0.0])
+
+    def test_engine_uses_the_closed_form_without_rebuilding(self, monkeypatch):
+        q = Dirichlet([0.5, 3.0, 7.0])
+        builds = []
+        original = Dirichlet.__init__
+
+        def counting(self, alpha):
+            builds.append(alpha)
+            original(self, alpha)
+
+        monkeypatch.setattr(Dirichlet, "__init__", counting)
+        result = expect(q, ENTROPY_NATS)
+        assert builds == []
+        assert result.value == dirichlet_expected_entropy(q.alpha, "nats")
 
 
 class TestMCExpect:

@@ -16,6 +16,7 @@ from secondorder import (
     EmpiricalEnsemble,
     EngineConfig,
     FiniteMixture,
+    Integrand,
     IntegrationFailure,
     IntervalUniform,
     PointMass,
@@ -225,6 +226,31 @@ class TestDecompose:
         with pytest.raises(ConsistencyFailure):
             decompose(_LateBreak([3.0, 4.0]), config=EngineConfig(mc_samples=100_000, seed=3))
         assert len(calls) > 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    def test_consistency_guard_trips_on_infinite_expected_kl(self):
+        # A mean with a zero cell under a sampled positive entry: KL value inf,
+        # Monte Carlo bound NaN (inf - inf). The check must not read NaN as a pass.
+        class _ZeroCellMean(Dirichlet):
+            def predictive_mean(self):
+                return Categorical([0.0, 1.0])
+
+            def sample_rows(self, n, rng):
+                rows = np.zeros((n, 2))
+                rows[:, 1] = 1.0
+                rows[0] = 0.5
+                return rows
+
+        with pytest.raises(ConsistencyFailure):
+            decompose(_ZeroCellMean([1.0, 2.0]), config=FAST)
+
+    def test_consistency_guard_trips_on_nan_expected_kl(self, monkeypatch):
+        import secondorder.measures as measures
+
+        nan_rows = Integrand(lambda rows: np.full(rows.shape[0], np.nan))
+        monkeypatch.setattr(measures, "kl_to", lambda mean: nan_rows)
+        with pytest.raises(ConsistencyFailure):
+            decompose(Dirichlet([2.0, 3.0]), config=FAST)
 
     @pytest.mark.parametrize(
         "lo, hi", [(1.0 - 2.0**-53, 1.0), (0.0, 5e-324)], ids=["one-ulp-at-edge", "subnormal-width"]

@@ -7,13 +7,52 @@ import oracles as oc
 from secondorder import (
     BayesState,
     Categorical,
+    ConsistencyFailure,
     DimensionMismatch,
     Dirichlet,
+    EngineConfig,
     InvalidSpec,
+    UncertaintyTriple,
     bayes_update,
     decompose,
     learning_curve,
+    simulate,
 )
+
+
+def _reference_curve(theta_star, schedule, replications, seed, unit="bits", normalized=True):
+    """The curve with every replication decomposed at every n, summed in index order."""
+    theta = np.asarray(theta_star, dtype=float)
+    k = theta.shape[0]
+    cfg = EngineConfig(mc_samples=simulate._CURVE_MC_SAMPLES, seed=seed)
+    sums = np.zeros((len(schedule), 3))
+    error_sums = np.zeros(len(schedule))
+    for rep in range(replications):
+        rng = np.random.default_rng([seed, rep])
+        outcomes = rng.choice(k, size=schedule[-1], p=theta) if schedule[-1] else np.empty(0, int)
+        for j, n in enumerate(schedule):
+            counts = np.ones(k) + np.bincount(outcomes[:n], minlength=k)
+            t = decompose(Dirichlet(counts), unit=unit, normalized=normalized, config=cfg)
+            sums[j] += (t.total, t.aleatoric, t.epistemic)
+            error_sums[j] += t.error_bound
+    return [
+        (n, UncertaintyTriple(*map(float, sums[j] / replications), unit=unit, normalized=normalized,
+                              error_bound=float(error_sums[j] / replications)))
+        for j, n in enumerate(schedule)
+    ]
+
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """The concentrations of each posterior `learning_curve` decomposes, in call order."""
+    seen = []
+
+    def counting(Q, *args, **kwargs):
+        seen.append(tuple(Q.alpha))
+        return decompose(Q, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "decompose", counting)
+    return seen
 
 
 class TestBayesState:
@@ -150,3 +189,42 @@ class TestLearningCurve:
             state = bayes_update(state, int(rng.random() > 0.3))
             b = aleatoric_bounds(state.posterior())
             assert b.lower <= true_entropy <= b.upper
+
+
+class TestDistinctPosteriors:
+    @pytest.mark.parametrize(
+        "theta_star, schedule, replications, seed, unit, normalized",
+        [
+            ((0.3, 0.7), (0, 1, 2, 5, 10, 50), 20, 7, "bits", True),
+            ((0.5, 0.2, 0.3), (0, 1, 3, 8), 12, 11, "nats", False),
+            ((0.9, 0.1), (0, 100), 6, 0, "bits", True),
+        ],
+    )
+    def test_curve_equals_every_replication_decomposed(
+        self, theta_star, schedule, replications, seed, unit, normalized
+    ):
+        curve = learning_curve(
+            Categorical(theta_star), schedule=schedule, replications=replications, seed=seed,
+            unit=unit, normalized=normalized,
+        )
+        expected = _reference_curve(theta_star, schedule, replications, seed, unit, normalized)
+        assert [(p.n, p.triple) for p in curve] == expected  # bit for bit
+
+    def test_each_distinct_posterior_is_decomposed_once(self, decompose_calls):
+        learning_curve(Categorical((0.3, 0.7)), schedule=(0, 1, 2), replications=20, seed=5)
+        assert len(decompose_calls) == len(set(decompose_calls))
+        # one prior, at most K posteriors at n = 1 and K + 1 at n = 2
+        assert len(decompose_calls) <= 1 + 2 + 3
+
+    def test_calls_are_per_curve(self, decompose_calls):
+        for _ in range(2):
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=4, seed=5)
+        assert decompose_calls == [(1.0, 1.0), (1.0, 1.0)]
+
+    def test_shared_posterior_failure_still_raises(self, monkeypatch):
+        def failing(Q, *args, **kwargs):
+            raise ConsistencyFailure("planted")
+
+        monkeypatch.setattr(simulate, "decompose", failing)
+        with pytest.raises(ConsistencyFailure):
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0, 1), replications=3, seed=0)
