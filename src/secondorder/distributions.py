@@ -72,7 +72,9 @@ def _as_floats(values, what: str) -> np.ndarray:
     """`values` as a float array; ragged nesting is a DimensionMismatch, other junk an InvalidSpec."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+        if "maximum number of dimension" in str(exc):  # numpy allows at most 64 axes
+            raise InvalidSpec(f"{what} are nested too deeply") from exc
         if "sequence" in str(exc):  # numpy: "setting an array element with a sequence"
             raise DimensionMismatch(f"{what} must all have the same length") from exc
         raise InvalidSpec(f"{what} must be numbers: {exc}") from exc
@@ -252,10 +254,11 @@ class IntervalUniform(SecondOrderDistribution):
         return 2
 
     def predictive_mean(self) -> Categorical:
-        mid = 0.5 * (self.lo + self.hi)
-        # A one-ulp or subnormal interval can round a cell it holds to 0.
-        ends = ((self.lo, 1.0 - self.lo), (self.hi, 1.0 - self.hi))
-        return _mean_of(np.array([mid, 1.0 - mid]), ends)
+        lo, hi = self.lo, self.hi
+        # Each cell averages its ends: 1 - mid would cancel the second cell of an
+        # interval at 1 away. A subnormal interval can still round a cell to 0.
+        ends = ((lo, 1.0 - lo), (hi, 1.0 - hi))
+        return _mean_of(np.array([0.5 * (lo + hi), 0.5 * ((1.0 - lo) + (1.0 - hi))]), ends)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)

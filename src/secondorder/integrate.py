@@ -270,19 +270,18 @@ def quadrature_1d(
                 f"quadrature exceeded {max_evals} evaluations before reaching tolerance {tolerance}"
             )
         evals += ts.size
-        return np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
+        return np.full(ts.shape, f(ts), dtype=float)
 
-    mid = 0.5 * (a + b)
-    fa, fmid, fb = ev(np.array([a, mid, b]))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    # One column per open panel: x0, xm, x2, f(x0), f(xm), f(x2), coarse Simpson estimate.
-    panels = np.array([[a], [mid], [b], [fa], [fmid], [fb], [whole]])
+    # One column per open panel: x0, x2, f(x0), f((x0 + x2) / 2), f(x2). Each level
+    # recomputes the midpoint and coarse Simpson estimate from them bit for bit.
+    panels = np.concatenate(([a, b], ev(np.array([a, 0.5 * (a + b), b]))))[:, np.newaxis]
     value = error = 0.0
     eps = tolerance
     for _ in range(MAX_QUAD_DEPTH + 1):
-        x0, xm, x2, f0, fm, f2, whole = panels
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = np.split(ev(np.concatenate((lm, rm))), 2)
+        x0, x2, f0, fm, f2 = panels
+        xm = 0.5 * (x0 + x2)
+        whole = (x2 - x0) / 6.0 * (f0 + 4.0 * fm + f2)
+        flm, frm = ev(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))).reshape(2, -1)
         left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
         right = (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
         delta = left + right - whole
@@ -291,8 +290,8 @@ def quadrature_1d(
         error += float(np.sum(np.abs(delta[done]) / 15.0))
         if done.all():
             return ExpectationResult(value, error, "quadrature", evals)
-        lefts = np.stack((x0, lm, xm, f0, flm, fm, left))
-        rights = np.stack((xm, rm, x2, fm, frm, f2, right))
+        lefts = np.stack((x0, xm, f0, flm, fm))
+        rights = np.stack((xm, x2, fm, frm, f2))
         panels = np.concatenate((lefts, rights), axis=1)[:, np.tile(~done, 2)]
         eps *= 0.5
     raise IntegrationFailure(

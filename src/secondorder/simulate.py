@@ -23,7 +23,7 @@ import numpy as np
 
 from .distributions import Categorical, Dirichlet
 from .errors import DimensionMismatch, InvalidSpec
-from .integrate import EngineConfig
+from .integrate import MC_CHUNK_CELLS, EngineConfig
 from .measures import UncertaintyTriple, decompose
 
 DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
@@ -80,8 +80,9 @@ class CurvePoint:
 
 
 def _check_schedule(schedule: Sequence[int]) -> list[int]:
-    if not all(float(n).is_integer() for n in schedule):
-        raise InvalidSpec(f"schedule sizes must be integers, got {list(schedule)}")
+    # Counts are float64 concentrations, which lose an increment above 2**53.
+    if not all(0 <= n <= 2**53 and float(n).is_integer() for n in schedule):
+        raise InvalidSpec(f"schedule sizes must be integers in [0, 2**53], got {list(schedule)}")
     points = [int(n) for n in schedule]
     if not points or points[0] != 0:
         raise InvalidSpec(f"schedule must start at 0, got {points[:1]}")
@@ -98,18 +99,22 @@ def learning_curve(
     seed: int = 0,
     unit: str = "bits",
     normalized: bool = True,
-    config: EngineConfig | None = None,
 ) -> list[CurvePoint]:
     """Trace the posterior uncertainty decomposition along sample sizes.
 
     Each replication draws its outcomes from Cat(theta*) with a generator
     seeded by (seed, replication index) and updates the conjugate posterior
     up to every scheduled n; the returned points average the posteriors'
-    triples over replications in index order. Each distinct posterior is
-    decomposed once per call: the unit, normalization and engine config
-    (with its seed) are fixed, so equal counts give equal triples, and the
-    first occurrence raises any `ConsistencyFailure`. Bit-identical for a
-    fixed seed.
+    triples over replications in index order. Outcomes are drawn in blocks
+    of at most `MC_CHUNK_CELLS` (the same stream as one draw) and counted
+    without being stored, so memory stays bounded whatever the schedule;
+    time still grows with its last size. Sizes must be integers in
+    [0, 2**53], since counts are float64 concentrations. Each distinct
+    posterior is decomposed once per call with
+    `EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)`: the unit,
+    normalization and engine are fixed, so equal counts give equal triples,
+    and the first occurrence raises any `ConsistencyFailure`. Bit-identical
+    for a fixed seed.
     """
     if not isinstance(theta_star, Categorical):
         theta_star = Categorical(theta_star)
@@ -120,18 +125,25 @@ def learning_curve(
     points = _check_schedule(schedule)
     if replications < 1:
         raise InvalidSpec(f"replications must be >= 1, got {replications}")
-    cfg = config if config is not None else EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)
+    cfg = EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)
 
     k = theta_star.k
-    n_max = points[-1]
     sums = np.zeros((len(points), 3))
     error_sums = np.zeros(len(points))
     triples: dict[bytes, UncertaintyTriple] = {}  # posterior counts -> its decomposition
     for rep in range(replications):
         rng = np.random.default_rng([seed, rep])
-        outcomes = rng.choice(k, size=n_max, p=theta_star.probs) if n_max else np.empty(0, int)
+        seen = np.zeros(k, dtype=np.int64)  # outcome counts of the first `drawn` draws
+        drawn, block = 0, np.empty(0, dtype=np.int64)  # `block`: drawn, not yet counted
         for j, n in enumerate(points):
-            counts = prior.counts + np.bincount(outcomes[:n], minlength=k)
+            while drawn < n:
+                if not block.size:
+                    size = min(MC_CHUNK_CELLS, points[-1] - drawn)
+                    block = rng.choice(k, size=size, p=theta_star.probs)
+                segment, block = block[: n - drawn], block[n - drawn :]
+                seen += np.bincount(segment, minlength=k)
+                drawn += segment.size
+            counts = prior.counts + seen
             key = counts.tobytes()
             if key not in triples:
                 triples[key] = decompose(Dirichlet(counts), unit=unit, normalized=normalized, config=cfg)

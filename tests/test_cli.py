@@ -187,6 +187,27 @@ class TestPanel:
         assert float(alea) == pytest.approx(oc.FROZEN_DIRICHLET_22_ENTROPY_BITS, abs=1e-9)
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond float range
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            f'{{"kind":"point","theta":[{HUGE},1]}}',
+            f'{{"kind":"dirichlet","alpha":[{HUGE},1]}}',
+            f'{{"kind":"interval_uniform","lo":0,"hi":{HUGE}}}',
+            f'{{"kind":"mixture","weights":[{HUGE}],"components":[{{"kind":"point","theta":[0.5,0.5]}}]}}',
+        ],
+        ids=["theta", "alpha", "hi", "weights"],
+    )
+    def test_eval_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "eval", spec)
+        assert code == 2
+        assert out == ""
+        assert "must be numbers" in err and "Traceback" not in err
+
+
 class TestCurve:
     FAST = ("--replications", "3", "--schedule", "0,1,2,5,10")
 
@@ -232,6 +253,13 @@ class TestCurve:
         assert code == 2
         assert out == ""
         assert "integers" in err
+
+    @pytest.mark.parametrize("schedule", ["0,1e300", "0,inf", "0,9007199254740994", "0,-1"])
+    def test_schedule_size_out_of_range_exits_2(self, capsys, schedule):
+        code, out, err = run_cli(capsys, "curve", "--schedule", schedule, "--replications", "1")
+        assert code == 2
+        assert out == ""
+        assert "2**53" in err
 
     def test_bad_theta_star_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "curve", "--theta-star", "0.5,oops", "--replications", "1")

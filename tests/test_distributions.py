@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpus import random_distribution, random_ensemble
 from oracles import mc_dirichlet_mean
@@ -9,6 +11,7 @@ from secondorder import (
     Categorical,
     DimensionMismatch,
     Dirichlet,
+    DistributionError,
     EmpiricalEnsemble,
     EmptyEnsemble,
     FiniteMixture,
@@ -16,9 +19,48 @@ from secondorder import (
     InvalidSpec,
     NegativeProbability,
     PointMass,
+    SecondOrderDistribution,
     SumNotOne,
     validate,
 )
+
+HUGE = 10**400  # a JSON integer beyond float range
+
+# Any JSON value: unbounded integers (beyond float range too), floats with nan
+# and inf, short text, and nested lists and mappings.
+NUMBER = st.one_of(st.integers(), st.sampled_from([HUGE, -HUGE]), st.floats())
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBER, st.text(max_size=5)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+# Field values: numbers, vectors and matrices of numbers, or any JSON value.
+FIELD = st.one_of(
+    NUMBER,
+    st.lists(NUMBER, max_size=5),
+    st.lists(st.lists(NUMBER, max_size=4), max_size=4),
+    JSON,
+)
+
+
+def _spec(components):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("point"), "theta": FIELD}),
+        st.fixed_dictionaries({"kind": st.just("dirichlet"), "alpha": FIELD}),
+        st.fixed_dictionaries({"kind": st.just("interval_uniform"), "lo": FIELD, "hi": FIELD}),
+        st.fixed_dictionaries({
+            "kind": st.just("mixture"),
+            "weights": FIELD,
+            "components": st.one_of(st.lists(components, max_size=3), JSON),
+        }),
+        st.fixed_dictionaries({"kind": st.just("ensemble"), "members": FIELD}),
+        st.dictionaries(st.text(max_size=8), JSON, max_size=3),
+    )
+
+
+SPECS = st.recursive(_spec(JSON), _spec, max_leaves=6)
 
 
 class TestCategorical:
@@ -171,6 +213,32 @@ class TestValidate:
             validate(self._nested_mixture(9))
 
 
+class TestValidateFuzz:
+    @settings(max_examples=300)
+    @given(spec=st.one_of(SPECS, JSON))
+    @example(spec={"kind": "point", "theta": [HUGE, 1]})
+    @example(spec={"kind": "dirichlet", "alpha": [HUGE, 1]})
+    @example(spec={"kind": "interval_uniform", "lo": 0, "hi": HUGE})
+    @example(spec={"kind": "mixture", "weights": [HUGE],
+                   "components": [{"kind": "point", "theta": [0.5, 0.5]}]})
+    def test_returns_a_distribution_or_a_distribution_error(self, spec):
+        with np.errstate(all="ignore"):
+            try:
+                q = validate(spec)
+            except DistributionError:
+                return
+        assert isinstance(q, SecondOrderDistribution)
+
+    def test_deep_nesting_is_invalid_spec_not_ragged(self):
+        theta = 0.5
+        for _ in range(70):
+            theta = [theta]
+        with pytest.raises(InvalidSpec, match="nested too deeply"):
+            validate({"kind": "point", "theta": theta})
+        with pytest.raises(DimensionMismatch, match="same length"):
+            validate({"kind": "ensemble", "members": [[0.5, 0.5], [1.0]]})
+
+
 class TestPredictiveMean:
     def test_symmetric_dirichlet(self):
         np.testing.assert_array_equal(Dirichlet([2, 2]).predictive_mean().probs, [0.5, 0.5])
@@ -204,9 +272,9 @@ class TestPredictiveMean:
             assert not mean.flags.writeable
             assert np.array_equal(mean, Categorical(alpha / alpha.sum()).probs)
             lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
-            mid = 0.5 * (lo + hi)
+            cells = (0.5 * (lo + hi), 0.5 * ((1.0 - lo) + (1.0 - hi)))
             mean = IntervalUniform(lo, hi).predictive_mean().probs
-            assert np.array_equal(mean, Categorical((mid, 1.0 - mid)).probs)
+            assert np.array_equal(mean, Categorical(cells).probs)
             q = EmpiricalEnsemble(random_ensemble(rng))
             mean = q.predictive_mean().probs
             assert np.array_equal(mean, Categorical(q.weights @ q.member_matrix).probs)

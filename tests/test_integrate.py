@@ -100,6 +100,104 @@ class TestQuadrature:
             assert abs(res.value - expected) <= tol
 
 
+def _seven_row_quadrature(f, a, b, tolerance=1e-10, max_evals=1_000_000):
+    """The level loop that stored seven numbers per open panel, as a reference.
+
+    Each column held x0, xm, x2, f(x0), f(xm), f(x2) and the coarse Simpson
+    estimate; `quadrature_1d` keeps five and recomputes xm and the estimate.
+    """
+    if a == b:
+        return integrate.ExpectationResult(0.0, 0.0, "exact", 0)
+    evals = 0
+
+    def ev(ts):
+        nonlocal evals
+        if evals + ts.size > max_evals:
+            raise IntegrationFailure(
+                f"quadrature exceeded {max_evals} evaluations before reaching tolerance {tolerance}"
+            )
+        evals += ts.size
+        return np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
+
+    mid = 0.5 * (a + b)
+    fa, fmid, fb = ev(np.array([a, mid, b]))
+    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
+    panels = np.array([[a], [mid], [b], [fa], [fmid], [fb], [whole]])
+    value = error = 0.0
+    eps = tolerance
+    for _ in range(MAX_QUAD_DEPTH + 1):
+        x0, xm, x2, f0, fm, f2, whole = panels
+        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+        flm, frm = np.split(ev(np.concatenate((lm, rm))), 2)
+        left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
+        right = (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
+        delta = left + right - whole
+        done = np.abs(delta) <= 15.0 * eps
+        value += float(np.sum((left + right + delta / 15.0)[done]))
+        error += float(np.sum(np.abs(delta[done]) / 15.0))
+        if done.all():
+            return integrate.ExpectationResult(value, error, "quadrature", evals)
+        lefts = np.stack((x0, lm, xm, f0, flm, fm, left))
+        rights = np.stack((xm, rm, x2, fm, frm, f2, right))
+        panels = np.concatenate((lefts, rights), axis=1)[:, np.tile(~done, 2)]
+        eps *= 0.5
+    raise IntegrationFailure(
+        f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error "
+        f"{float(np.abs(delta).max()) / 15.0:.3e} (tolerance {tolerance})"
+    )
+
+
+def _on_rows(rows_fn):
+    return lambda ts: rows_fn(np.column_stack((ts, 1.0 - ts)))
+
+
+QUAD_INTEGRANDS = {
+    "entropy": _on_rows(entropy_nats_rows),
+    **{
+        f"kl_{ref[0]:g}": _on_rows(lambda rows, ref=np.array(ref): kl_nats_rows(rows, ref))
+        for ref in [(0.5, 0.5), (0.3, 0.7), (1e-300, 1.0 - 1e-300), (0.999, 0.001)]
+    },
+    "cubic": lambda t: t**3 - t,
+    "sqrt": np.sqrt,
+}
+QUAD_INTERVALS = [
+    (0.0, 1.0), (0.3, 0.7), (0.6, 1.0), (0.0, 1e-6), (1.0 - 1e-9, 1.0), (1.0 - 2**-53, 1.0),
+    (0.0, 5e-324), (0.5, 0.5 + 2**-53), (0.0, 7 * 5e-324), (0.25, 0.75),
+]
+
+
+def _outcome(quad, f, a, b, tolerance):
+    """(value, error_bound, method, evaluations) as exact bit patterns, or the failure."""
+    try:
+        res = quad(f, a, b, tolerance=tolerance)
+    except IntegrationFailure as exc:
+        return ("failure", str(exc))
+    return (res.value.hex(), res.error_bound.hex(), res.method, res.evaluations)
+
+
+class TestFiveNumberPanels:
+    @pytest.mark.parametrize("a, b", QUAD_INTERVALS)
+    def test_bit_identical_to_the_seven_row_loop(self, a, b):
+        for f in QUAD_INTEGRANDS.values():
+            for tol in (1e-4, 1e-9, 1e-14):
+                tolerance = max(tol * (b - a), 5e-324)
+                expected = _outcome(_seven_row_quadrature, f, a, b, tolerance)
+                assert _outcome(quadrature_1d, f, a, b, tolerance) == expected
+
+    @pytest.mark.parametrize("f", [lambda t: np.full(t.shape, np.nan), lambda t: 1.0 / (t - 0.3)],
+                             ids=["nan", "pole"])
+    def test_same_failure_as_the_seven_row_loop(self, f):
+        with np.errstate(all="ignore"):
+            expected = _outcome(_seven_row_quadrature, f, 0.0, 1.0, 1e-10)
+            assert _outcome(quadrature_1d, f, 0.0, 1.0, 1e-10) == expected
+        assert expected[0] == "failure" and "exceeded 1000000 evaluations" in expected[1]
+
+    def test_scalar_broadcasts_and_wrong_length_raises(self):
+        assert quadrature_1d(lambda t: 2.0, 0.0, 1.0).value == 2.0
+        with pytest.raises(ValueError):
+            quadrature_1d(lambda t: np.ones(2), 0.0, 1.0)
+
+
 class TestEngineConfig:
     def test_rejects_nan_tolerance(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,16 @@ class TestDecompose:
         triple = decompose(q)
         assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
 
+    def test_one_ulp_interval_at_the_edge_keeps_its_total(self):
+        # The mean's second cell is 2**-54; computed as 1 - mid it rounded to 0.
+        import mpmath
+
+        with mpmath.workdps(50):
+            m = 1 - mpmath.mpf(2) ** -54
+            expected = float(-(m * mpmath.log(m) + (1 - m) * mpmath.log(1 - m)) / mpmath.log(2))
+        triple = decompose(IntervalUniform(1.0 - 2.0**-53, 1.0), normalized=False)
+        assert triple.total == pytest.approx(expected, rel=0.05, abs=0.0)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     def test_extreme_parameter_grid(self):
         # Every case ends in a finite triple or a named library error. At

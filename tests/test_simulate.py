@@ -1,5 +1,7 @@
 """Conjugate Bayesian updating and uncertainty learning curves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,22 @@ class TestLearningCurve:
         with pytest.raises(InvalidSpec):
             learning_curve(Categorical((0.3, 0.7)), schedule=(0, 5, 5), replications=1, seed=0)
 
+    @pytest.mark.parametrize("size", [10**400, 1e300, float("inf"), 2**53 + 1, 2.5],
+                             ids=["huge-int", "1e300", "inf", "2**53+1", "fraction"])
+    def test_schedule_sizes_are_integers_up_to_2_53(self, size):
+        with pytest.raises(InvalidSpec, match="2\\*\\*53"):
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0, size), replications=1, seed=0)
+
+    def test_memory_does_not_grow_with_the_schedule(self):
+        # Outcomes are drawn in blocks and counted, never stored (16 MiB for 10**6 stored).
+        tracemalloc.start()
+        try:
+            learning_curve(Categorical((0.5, 0.5)), schedule=(0, 10**6), replications=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_prior_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             learning_curve(
@@ -198,6 +216,8 @@ class TestDistinctPosteriors:
             ((0.3, 0.7), (0, 1, 2, 5, 10, 50), 20, 7, "bits", True),
             ((0.5, 0.2, 0.3), (0, 1, 3, 8), 12, 11, "nats", False),
             ((0.9, 0.1), (0, 100), 6, 0, "bits", True),
+            # sizes around the outcome draw's block boundary (MC_CHUNK_CELLS = 8192)
+            ((0.3, 0.7), (0, 1, 3, 8192, 8193, 9000, 20000), 3, 4, "bits", True),
         ],
     )
     def test_curve_equals_every_replication_decomposed(
