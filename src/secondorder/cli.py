@@ -24,6 +24,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .distributions import (
+    Dirichlet,
     EmpiricalEnsemble,
     FiniteMixture,
     IntervalUniform,
@@ -34,7 +35,7 @@ from .ensemble import ensemble_decompose, parse_member_matrix
 from .errors import ConsistencyFailure, DistributionError, IntegrationFailure, InvalidSpec
 from .integrate import EngineConfig
 from .measures import aleatoric_bounds, decompose
-from .simulate import DEFAULT_SCHEDULE, BayesState, learning_curve
+from .simulate import DEFAULT_SCHEDULE, learning_curve
 
 EVAL_HEADER = ("name", "total", "aleatoric", "epistemic", "alea_lower", "alea_upper", "error_bound")
 PANEL_HEADER = ("name", "total", "aleatoric", "epistemic")
@@ -139,7 +140,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def cmd_curve(args) -> tuple[tuple[str, ...], list[dict]]:
     curve = learning_curve(
         _parse_floats(args.theta_star, "--theta-star"),
-        prior=BayesState(_parse_floats(args.prior, "--prior")),
+        prior=Dirichlet(_parse_floats(args.prior, "--prior")),
         schedule=_parse_floats(args.schedule, "--schedule"),
         replications=args.replications,
         seed=args.seed,

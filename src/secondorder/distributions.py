@@ -179,12 +179,6 @@ class SecondOrderDistribution:
         """Draw n level-1 parameters as an (n, K) array, deterministically in rng state."""
         raise NotImplementedError
 
-    def sample(self, n: int, rng: np.random.Generator) -> list[Categorical]:
-        """Draw n independent level-1 distributions."""
-        rows = self.sample_rows(n, rng)
-        rows.flags.writeable = False
-        return [Categorical._from_row(rows[i]) for i in range(rows.shape[0])]
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(...)"
 
@@ -359,11 +353,6 @@ class EmpiricalEnsemble(SecondOrderDistribution):
         return self._matrix
 
     @property
-    def members(self) -> tuple[Categorical, ...]:
-        """The atoms as read-only `Categorical` views of the matrix rows."""
-        return tuple(Categorical._from_row(row) for row in self._matrix)
-
-    @property
     def k(self) -> int:
         return self._matrix.shape[1]
 
@@ -373,10 +362,6 @@ class EmpiricalEnsemble(SecondOrderDistribution):
 
     def predictive_mean(self) -> Categorical:
         return _mean_of(self.weights @ self._matrix, self._matrix)
-
-    def mean(self) -> Categorical:
-        """Weighted mean member prediction; the same as `predictive_mean`."""
-        return self.predictive_mean()
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_sample_count(n)

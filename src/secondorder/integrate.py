@@ -23,6 +23,7 @@ form, its `rows_fn` on an (n, K) matrix of simplex points.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,6 +53,18 @@ MAX_QUAD_DEPTH = 60
 # Larger chunk arrays were mapped and unmapped per chunk, and the page faults
 # to map them again cost more than the extra chunk iterations.
 MC_CHUNK_CELLS = 1 << 13
+
+# The most cells one call may ask for: Monte Carlo rows x K, or a learning
+# curve's replications x last scheduled size. Monte Carlo ran at 28-45 M
+# cells/s for K = 2..1000 on a 2-core host, and a curve draws about 36 M
+# outcomes/s, so this is about 30 s of work.
+MAX_WORK_CELLS = 1 << 30
+
+
+def check_count(value, name: str, least: int, error: type = ValueError) -> None:
+    """Raise `error` naming `name` unless `value` is an integer (not a bool) >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +113,8 @@ class EngineConfig:
     def __post_init__(self):
         if not self.tolerance > 0.0:  # also rejects NaN
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
-        if self.mc_samples < 2:
-            raise ValueError("need at least 2 Monte Carlo samples")
+        check_count(self.mc_samples, "mc_samples", 2)
+        check_count(self.seed, "seed", 0)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -327,9 +338,12 @@ def mc_expect(
     pass. A mixture or ensemble passed here directly draws its component
     indices per chunk, a different stream from one pass (`expect` never
     samples those: it splits mixtures and sums ensembles exactly).
+    `n_samples * K` may not exceed `MAX_WORK_CELLS`.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+    check_count(n_samples, "n_samples", 2)
+    check_count(seed, "seed", 0)
+    if n_samples * Q.k > MAX_WORK_CELLS:
+        raise ValueError(f"n_samples * K = {n_samples * Q.k} exceeds MAX_WORK_CELLS = {MAX_WORK_CELLS}")
     integrand = as_integrand(f)
     rng = np.random.default_rng(seed)
     chunk = max(1, MC_CHUNK_CELLS // Q.k)

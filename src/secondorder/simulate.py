@@ -1,12 +1,13 @@
 """Bayesian learning curves for the uncertainty decomposition.
 
 A conjugate Dirichlet-categorical learner observes i.i.d. outcomes from a
-fixed ground-truth distribution theta*. Its posterior after n observations
-is a Dirichlet whose decomposition can be computed in closed form, so the
-three uncertainty measures can be traced along the learning curve and
-averaged over replications. Replications often reach the same posterior
-(all share the prior at n = 0, and there are at most K posteriors at n = 1),
-so a curve decomposes each distinct posterior once and reuses its triple.
+fixed ground-truth distribution theta*. Its prior is a `Dirichlet`, and its
+posterior after n observations is `Dirichlet(prior.alpha + counts)`, whose
+decomposition is closed form, so the three uncertainty measures can be
+traced along the learning curve and averaged over replications.
+Replications often reach the same posterior (all share the prior at n = 0,
+and there are at most K posteriors at n = 1), so a curve decomposes each
+distinct posterior once and reuses its triple.
 
 The interesting artifact this exposes: the expected-entropy estimate of
 aleatoric uncertainty moves with the sample size even though the quantity
@@ -23,7 +24,7 @@ import numpy as np
 
 from .distributions import Categorical, Dirichlet
 from .errors import DimensionMismatch, InvalidSpec
-from .integrate import MC_CHUNK_CELLS, EngineConfig
+from .integrate import MAX_WORK_CELLS, MC_CHUNK_CELLS, EngineConfig, check_count
 from .measures import UncertaintyTriple, decompose
 
 DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
@@ -32,33 +33,6 @@ DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
 # posteriors; a reduced sample count keeps a 200-replication curve in
 # seconds while the corpus-level tests exercise the full default.
 _CURVE_MC_SAMPLES = 2000
-
-
-class BayesState(Dirichlet):
-    """A conjugate learner's state: prior plus outcome counts, which are its Dirichlet's alpha."""
-
-    __slots__ = ()
-
-    @classmethod
-    def uniform_prior(cls, k: int) -> "BayesState":
-        """The all-ones prior: uniform over the K-simplex."""
-        return cls(np.ones(k))
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.alpha
-
-    def posterior(self) -> Dirichlet:
-        return self
-
-
-def bayes_update(state: BayesState, outcome: int) -> BayesState:
-    """Return the state after observing `outcome` (0-based index below K)."""
-    if not 0 <= outcome < state.k:
-        raise IndexError(f"outcome index {outcome} out of range for K={state.k}")
-    counts = state.counts.copy()
-    counts[outcome] += 1.0
-    return BayesState(counts)
 
 
 @dataclass(frozen=True)
@@ -93,7 +67,7 @@ def _check_schedule(schedule: Sequence[int]) -> list[int]:
 
 def learning_curve(
     theta_star: Categorical,
-    prior: BayesState | None = None,
+    prior: Dirichlet | None = None,
     schedule: Sequence[int] = DEFAULT_SCHEDULE,
     replications: int = 200,
     seed: int = 0,
@@ -103,14 +77,16 @@ def learning_curve(
     """Trace the posterior uncertainty decomposition along sample sizes.
 
     Each replication draws its outcomes from Cat(theta*) with a generator
-    seeded by (seed, replication index) and updates the conjugate posterior
-    up to every scheduled n; the returned points average the posteriors'
-    triples over replications in index order. Outcomes are drawn in blocks
-    of at most `MC_CHUNK_CELLS` (the same stream as one draw) and counted
-    without being stored, so memory stays bounded whatever the schedule;
-    time still grows with its last size. Sizes must be integers in
-    [0, 2**53], since counts are float64 concentrations. Each distinct
-    posterior is decomposed once per call with
+    seeded by (seed, replication index); its posterior at every scheduled n
+    is `Dirichlet(prior.alpha + outcome counts)`, from an all-ones prior by
+    default. The returned points average the posteriors' triples over
+    replications in index order. Outcomes are drawn in blocks of at most
+    `MC_CHUNK_CELLS` (the same stream as one draw) and counted without being
+    stored, so memory stays bounded whatever the schedule; time still grows
+    with its last size. Sizes must be integers in [0, 2**53], since counts
+    are float64 concentrations, and `replications` times the last size (at
+    least 1) may not exceed `MAX_WORK_CELLS`. Each distinct posterior is
+    decomposed once per call with
     `EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)`: the unit,
     normalization and engine are fixed, so equal counts give equal triples,
     and the first occurrence raises any `ConsistencyFailure`. Bit-identical
@@ -119,12 +95,13 @@ def learning_curve(
     if not isinstance(theta_star, Categorical):
         theta_star = Categorical(theta_star)
     if prior is None:
-        prior = BayesState.uniform_prior(theta_star.k)
+        prior = Dirichlet(np.ones(theta_star.k))
     if prior.k != theta_star.k:
         raise DimensionMismatch(f"prior has K={prior.k} but theta* has K={theta_star.k}")
     points = _check_schedule(schedule)
-    if replications < 1:
-        raise InvalidSpec(f"replications must be >= 1, got {replications}")
+    check_count(replications, "replications", 1, InvalidSpec)
+    if replications * max(points[-1], 1) > MAX_WORK_CELLS:
+        raise InvalidSpec(f"replications x last size exceeds MAX_WORK_CELLS = {MAX_WORK_CELLS}")
     cfg = EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)
 
     k = theta_star.k
@@ -143,7 +120,7 @@ def learning_curve(
                 segment, block = block[: n - drawn], block[n - drawn :]
                 seen += np.bincount(segment, minlength=k)
                 drawn += segment.size
-            counts = prior.counts + seen
+            counts = prior.alpha + seen
             key = counts.tobytes()
             if key not in triples:
                 triples[key] = decompose(Dirichlet(counts), unit=unit, normalized=normalized, config=cfg)

@@ -36,7 +36,6 @@ from secondorder import (
     total_uncertainty,
 )
 from secondorder.cli import main
-from secondorder.simulate import BayesState
 
 CORPUS_SEED = 20240817
 CORPUS_SIZE = 1000
@@ -173,8 +172,8 @@ def test_criterion_4_ensemble_identity():
             abs(via_ensemble.aleatoric - via_generic.aleatoric),
             abs(via_ensemble.epistemic - via_generic.epistemic),
         )
-        gap = shannon_entropy(e.mean(), "bits") - float(
-            e.weights @ [shannon_entropy(m, "bits") for m in e.members]
+        gap = shannon_entropy(e.predictive_mean(), "bits") - float(
+            e.weights @ [shannon_entropy(m, "bits") for m in e.member_matrix]
         )
         worst_js = max(worst_js, abs(js_divergence(e, "bits") - gap))
     ok = worst_triple <= 1e-12 and worst_js <= 1e-12
@@ -189,7 +188,7 @@ def test_criterion_4_ensemble_identity():
 def test_criterion_5_learning_curve():
     curve = learning_curve(
         Categorical((0.3, 0.7)),
-        prior=BayesState([1.0, 1.0]),
+        prior=Dirichlet([1.0, 1.0]),
         replications=200,
         seed=CORPUS_SEED,
     )

@@ -356,6 +356,24 @@ def test_json_rows_have_the_csv_columns(capsys, tmp_path, argv, header):
     assert tuple(csv_out.splitlines()[0].split(",")) == header
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", '{"kind":"dirichlet","alpha":[1,2]}', "--mc-samples", str(2**80)],
+        ["curve", "--schedule", "0,10000000000000", "--replications", "1"],
+    ],
+    ids=["mc-samples-2**80", "curve-schedule-1e13"],
+)
+def test_work_above_the_ceiling_exits_2(argv):
+    # A subprocess with a timeout, so that a missing ceiling fails instead of hanging.
+    proc = subprocess.run(
+        [sys.executable, "-m", "secondorder.cli", *argv], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "MAX_WORK_CELLS" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "secondorder.cli", "panel"],

@@ -324,12 +324,12 @@ class TestSample:
     def test_point_mass_copies(self):
         theta = Categorical([0.3, 0.7])
         rng = np.random.default_rng(0)
-        draws = PointMass(theta).sample(5, rng)
-        assert all(d == theta for d in draws)
+        rows = PointMass(theta).sample_rows(5, rng)
+        assert all(np.array_equal(row, theta.probs) for row in rows)
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
-            PointMass([0.5, 0.5]).sample(0, np.random.default_rng(0))
+            PointMass([0.5, 0.5]).sample_rows(0, np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(12)
@@ -358,8 +358,7 @@ class TestSample:
             FiniteMixture([0.5, 0.5], [Dirichlet([2, 2]), PointMass([0.9, 0.1])]),
             EmpiricalEnsemble([[0.2, 0.8], [0.7, 0.3]]),
         ]:
-            draws = q.sample(10**5, rng)
-            rows = np.vstack([d.probs for d in draws])
+            rows = q.sample_rows(10**5, rng)
             stderr = rows.std(axis=0, ddof=1) / np.sqrt(rows.shape[0])
             gap = np.abs(rows.mean(axis=0) - q.predictive_mean().probs)
             assert np.all(gap <= 3.0 * stderr + 1e-12)

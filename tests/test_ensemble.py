@@ -110,8 +110,8 @@ class TestJSDivergence:
         rng = np.random.default_rng(62)
         for _ in range(50):
             e = EnsemblePrediction(random_ensemble(rng))
-            gap = shannon_entropy(e.mean(), "bits") - float(
-                e.weights @ [shannon_entropy(m, "bits") for m in e.members]
+            gap = shannon_entropy(e.predictive_mean(), "bits") - float(
+                e.weights @ [shannon_entropy(m, "bits") for m in e.member_matrix]
             )
             assert abs(js_divergence(e, "bits") - gap) <= 1e-12
 
@@ -121,7 +121,7 @@ class TestJSDivergence:
             e = EnsemblePrediction(random_ensemble(rng))
             js = js_divergence(e, "nats")
             assert js >= 0.0
-            all_equal = all(m == e.members[0] for m in e.members)
+            all_equal = all(np.array_equal(m, e.member_matrix[0]) for m in e.member_matrix)
             if all_equal:
                 assert js == 0.0
             elif js == 0.0:

@@ -21,10 +21,12 @@ from secondorder import (
     Integrand,
     IntegrationFailure,
     IntervalUniform,
+    InvalidSpec,
     PointMass,
     digamma,
     dirichlet_expected_entropy,
     expect,
+    learning_curve,
     mc_expect,
     quadrature_1d,
 )
@@ -209,6 +211,34 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(seed=-1)
 
+    def test_numpy_integers_are_accepted(self):
+        cfg = EngineConfig(mc_samples=np.int64(100), seed=np.uint32(7))
+        assert mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, cfg.mc_samples, cfg.seed).evaluations == 100
+
+
+_COIN = Categorical((0.3, 0.7))
+
+
+@pytest.mark.parametrize(
+    "call, error, field",
+    [
+        (lambda: EngineConfig(mc_samples=1e5), ValueError, "mc_samples"),
+        (lambda: EngineConfig(seed=2.5), ValueError, "seed"),
+        (lambda: EngineConfig(seed=1e3), ValueError, "seed"),
+        (lambda: EngineConfig(seed=True), ValueError, "seed"),
+        (lambda: mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, n_samples=1e5), ValueError, "n_samples"),
+        (lambda: mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, n_samples=100, seed=1.5), ValueError, "seed"),
+        (lambda: learning_curve(_COIN, schedule=(0, 1), replications=2.5), InvalidSpec, "replications"),
+        (lambda: learning_curve(_COIN, schedule=(0, 1), replications=True), InvalidSpec, "replications"),
+        (lambda: learning_curve(_COIN, schedule=(0, 1), replications=2, seed=1.5), ValueError, "seed"),
+    ],
+    ids=["mc_samples-float", "seed-fraction", "seed-1e3", "seed-bool", "n_samples-float",
+         "mc_expect-seed-fraction", "replications-fraction", "replications-bool", "curve-seed-fraction"],
+)
+def test_counts_and_seeds_must_be_integers(call, error, field):
+    with pytest.raises(error, match=f"^{field} must be an integer"):
+        call()
+
 
 class TestDigamma:
     def test_against_scipy(self):
@@ -342,6 +372,12 @@ class TestMCExpect:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, n_samples=1, seed=0)
+
+    def test_work_ceiling(self, monkeypatch):
+        monkeypatch.setattr(integrate, "MAX_WORK_CELLS", 100)
+        assert mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, n_samples=50).evaluations == 50
+        with pytest.raises(ValueError, match="MAX_WORK_CELLS"):
+            mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, n_samples=51)
 
     def test_draws_in_chunks(self):
         calls = []

@@ -1,6 +1,7 @@
 """Uncertainty measures, the additive decomposition, and support bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -287,6 +288,62 @@ class TestDecompose:
                     continue
                 assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_extreme_mixture_and_ensemble_grid(self, k):
+        # Exact atoms with subnormal, 1e-300 and 1e-12 entries (and a subnormal
+        # weight) give finite triples; rows of 1e308 are named errors; mixtures
+        # of a Dirichlet and a point end in a finite triple or, below alpha =
+        # 1e-2, a named error. Each case takes well under a second.
+        cfg = EngineConfig(mc_samples=2000, seed=0)
+
+        def atom(tiny):
+            row = np.full(k, tiny)
+            row[-1] = 1.0 - (k - 1) * tiny
+            return row
+
+        def finite_triple(q):
+            start = time.perf_counter()
+            triple = decompose(q, config=cfg)
+            assert time.perf_counter() - start < 2.0, q
+            return all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
+
+        for tiny in (5e-324, 1e-300, 1e-12):
+            a, b = atom(tiny), atom(tiny)[::-1]
+            for q in (
+                EmpiricalEnsemble([a, b]),
+                EmpiricalEnsemble([a, b], weights=[5e-324, 1.0]),
+                FiniteMixture([0.5, 0.5], [PointMass(a), PointMass(b)]),
+                FiniteMixture([5e-324, 1.0], [PointMass(a), PointMass(b)]),
+            ):
+                assert finite_triple(q), (tiny, q)
+        with pytest.raises(DistributionError):
+            EmpiricalEnsemble([np.full(k, 1e308)])
+        with pytest.raises(DistributionError):
+            Dirichlet(np.full(k, 1e308))
+        huge = np.ones(k)
+        huge[0] = 1e308
+        for alpha in (np.full(k, 1e-6), np.full(k, 1e-3), np.ones(k), np.full(k, 1e6), np.full(k, 1e300), huge):
+            try:
+                ok = finite_triple(FiniteMixture([0.5, 0.5], [Dirichlet(alpha), PointMass(atom(1e-12))]))
+            except (DistributionError, IntegrationFailure, ConsistencyFailure):
+                assert alpha.max() < 1e-2, alpha[:2]
+                continue
+            assert ok, alpha[:2]
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 1e-14])
+    def test_interval_width_grid(self, tol):
+        # Widths from 5e-324 to 1 at both simplex edges and centred at 0.5
+        # give finite triples, each well under a second.
+        cfg = EngineConfig(tolerance=tol)
+        for w in (5e-324, 1e-300, 1e-100, 1e-16, 1e-8, 1e-2, 0.5, 1.0):
+            for lo, hi in ((0.0, w), (1.0 - w, 1.0), (0.5 - w / 2, 0.5 + w / 2)):
+                start = time.perf_counter()
+                triple = decompose(IntervalUniform(lo, hi), config=cfg)
+                assert time.perf_counter() - start < 2.0, (lo, hi)
+                assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic)), (lo, hi)
+
     def test_point_mass_mixtures_are_error_free(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -351,7 +408,7 @@ def _mirror(q):
     if isinstance(q, IntervalUniform):
         return IntervalUniform(1.0 - q.hi, 1.0 - q.lo)
     if isinstance(q, EmpiricalEnsemble):
-        return EmpiricalEnsemble([m.probs[::-1] for m in q.members])
+        return EmpiricalEnsemble(q.member_matrix[:, ::-1])
     return FiniteMixture(q.weights, [_mirror(c) for c in q.components])
 
 

@@ -151,8 +151,8 @@ def test_ensemble_matches_generic_decomposition(members):
 def test_js_entropy_gap_identity(k, data):
     members = data.draw(st.lists(probability_vectors(k, k), min_size=1, max_size=10))
     e = EnsemblePrediction(members)
-    gap = shannon_entropy(e.mean(), "nats") - float(
-        e.weights @ [shannon_entropy(m, "nats") for m in e.members]
+    gap = shannon_entropy(e.predictive_mean(), "nats") - float(
+        e.weights @ [shannon_entropy(m, "nats") for m in e.member_matrix]
     )
     assert abs(js_divergence(e, "nats") - gap) <= 1e-12
     assert js_divergence(e, "nats") >= 0.0

@@ -7,7 +7,6 @@ import pytest
 
 import oracles as oc
 from secondorder import (
-    BayesState,
     Categorical,
     ConsistencyFailure,
     DimensionMismatch,
@@ -15,7 +14,6 @@ from secondorder import (
     EngineConfig,
     InvalidSpec,
     UncertaintyTriple,
-    bayes_update,
     decompose,
     learning_curve,
     simulate,
@@ -57,54 +55,6 @@ def decompose_calls(monkeypatch):
     return seen
 
 
-class TestBayesState:
-    def test_construction(self):
-        state = BayesState([1.0, 1.0])
-        assert state.k == 2
-        np.testing.assert_array_equal(state.counts, [1.0, 1.0])
-
-    def test_uniform_prior(self):
-        np.testing.assert_array_equal(BayesState.uniform_prior(4).counts, np.ones(4))
-
-    def test_rejects_non_positive_counts(self):
-        with pytest.raises(InvalidSpec):
-            BayesState([1.0, 0.0])
-
-    def test_posterior_is_dirichlet(self):
-        assert isinstance(BayesState([2.0, 3.0]).posterior(), Dirichlet)
-
-
-class TestBayesUpdate:
-    def test_increment_first_outcome(self):
-        state = bayes_update(BayesState([1, 1]), 0)
-        np.testing.assert_array_equal(state.counts, [2.0, 1.0])
-
-    def test_increment_second_outcome(self):
-        state = bayes_update(BayesState([2, 3]), 1)
-        np.testing.assert_array_equal(state.counts, [2.0, 4.0])
-
-    def test_original_state_unchanged(self):
-        state = BayesState([1, 1])
-        bayes_update(state, 0)
-        np.testing.assert_array_equal(state.counts, [1.0, 1.0])
-
-    def test_updates_commute(self):
-        outcomes = [0, 1, 1, 0, 1, 2, 2, 0]
-        state_a = BayesState([1, 1, 1])
-        for outcome in outcomes:
-            state_a = bayes_update(state_a, outcome)
-        state_b = BayesState([1, 1, 1])
-        for outcome in reversed(outcomes):
-            state_b = bayes_update(state_b, outcome)
-        np.testing.assert_array_equal(state_a.counts, state_b.counts)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            bayes_update(BayesState([1, 1]), 2)
-        with pytest.raises(IndexError):
-            bayes_update(BayesState([1, 1]), -1)
-
-
 class TestLearningCurve:
     def test_start_point_is_prior_decomposition(self):
         # independent of theta* and seed: n = 0 sees no data
@@ -118,11 +68,11 @@ class TestLearningCurve:
             assert start.epistemic == pytest.approx(oc.FROZEN_UNIFORM01_EPISTEMIC_BITS, abs=1e-12)
 
     def test_matches_direct_decomposition_at_zero(self):
-        prior = BayesState([2.0, 5.0])
+        prior = Dirichlet([2.0, 5.0])
         curve = learning_curve(
             Categorical((0.5, 0.5)), prior=prior, schedule=(0,), replications=3, seed=0
         )
-        direct = decompose(Dirichlet(prior.counts))
+        direct = decompose(Dirichlet(prior.alpha))
         assert curve[0].triple.total == pytest.approx(direct.total, abs=1e-12)
         assert curve[0].triple.aleatoric == pytest.approx(direct.aleatoric, abs=1e-12)
 
@@ -164,8 +114,16 @@ class TestLearningCurve:
     def test_prior_dimension_checked(self):
         with pytest.raises(DimensionMismatch):
             learning_curve(
-                Categorical((0.3, 0.7)), prior=BayesState([1, 1, 1]), replications=1, seed=0
+                Categorical((0.3, 0.7)), prior=Dirichlet([1, 1, 1]), replications=1, seed=0
             )
+
+    def test_work_ceiling(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_WORK_CELLS", 100)
+        learning_curve(Categorical((0.3, 0.7)), schedule=(0, 50), replications=2, seed=0)
+        with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0, 51), replications=2, seed=0)
+        with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=101, seed=0)
 
     def test_replications_positive(self):
         with pytest.raises(InvalidSpec):
@@ -201,11 +159,11 @@ class TestLearningCurve:
         from secondorder import aleatoric_bounds
 
         rng = np.random.default_rng(17)
-        state = BayesState([1.0, 1.0])
+        state = Dirichlet([1.0, 1.0])
         true_entropy = oc.FROZEN_H_03_BITS
         for _ in range(50):
-            state = bayes_update(state, int(rng.random() > 0.3))
-            b = aleatoric_bounds(state.posterior())
+            state = Dirichlet(state.alpha + np.eye(2)[int(rng.random() > 0.3)])
+            b = aleatoric_bounds(state)
             assert b.lower <= true_entropy <= b.upper
 
 
