@@ -94,7 +94,8 @@ def _probability_rows(values, ndim: int) -> np.ndarray:
         raise InvalidSpec("probability entries must be finite")
     if np.any(arr < 0.0):
         raise NegativeProbability(f"negative probability entry {float(arr.min())!r}")
-    totals = arr.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a sum past float range is reported as inf below
+        totals = arr.sum(axis=-1, keepdims=True)
     off = np.abs(totals - 1.0) > RENORM_TOLERANCE
     if np.any(off):
         raise SumNotOne(f"probabilities sum to {float(totals[off][0])!r}, not 1")

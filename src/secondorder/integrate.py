@@ -103,7 +103,11 @@ class EngineConfig:
     """Tunable knobs for the expectation engines.
 
     `seed` feeds the Monte Carlo fallback (PCG64); it must be set whenever a
-    Monte Carlo path can trigger so results stay reproducible.
+    Monte Carlo path can trigger so results stay reproducible. `mc_samples`
+    is the Monte Carlo sample count of `expect`; `decompose`'s consistency
+    check draws at most `measures.CHECK_SAMPLES` of them and trips at
+    `measures.MC_MARGIN` times their 3-standard-error bound. Since K >= 2,
+    a count above `MAX_WORK_CELLS // 2` could never run and is rejected.
     """
 
     tolerance: float = 1e-10
@@ -114,6 +118,10 @@ class EngineConfig:
         if not self.tolerance > 0.0:  # also rejects NaN
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         check_count(self.mc_samples, "mc_samples", 2)
+        if self.mc_samples > MAX_WORK_CELLS // 2:
+            raise ValueError(
+                f"mc_samples must be at most MAX_WORK_CELLS // 2 = {MAX_WORK_CELLS // 2}, got {self.mc_samples!r}"
+            )
         check_count(self.seed, "seed", 0)
 
 

@@ -20,7 +20,7 @@ entropy averages over.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .distributions import (
 )
 from .errors import ConsistencyFailure, DimensionMismatch
 from .integrate import (
+    DEFAULT_CONFIG,
     ENTROPY_NATS,
     EngineConfig,
     ExpectationResult,
@@ -47,6 +48,17 @@ from .units import UNITS, divisor
 
 # Floating-point slack used where two exact routes are compared.
 IDENTITY_TOLERANCE = 1e-9
+
+# The consistency check draws at most this many Monte Carlo rows per
+# Dirichlet, whatever `EngineConfig.mc_samples` is.
+CHECK_SAMPLES = 8192
+
+# The check trips when the routes' gap exceeds this many times their combined
+# error bound if all of that bound is Monte Carlo (three standard errors), and
+# ten times otherwise. MC_MARGIN * 3 / sqrt(CHECK_SAMPLES) <= 30 / sqrt(100 000),
+# so the check at the default `mc_samples` is at least as sensitive as
+# 10 x 3 SE on all 100 000 rows.
+MC_MARGIN = 2.5
 
 
 @dataclass(frozen=True)
@@ -190,9 +202,12 @@ def decompose(
 
     Epistemic uncertainty is computed as the residual total - aleatoric;
     with `check=True` (the default) the direct expected-KL route is also
-    evaluated and a `ConsistencyFailure` is raised if the two disagree
-    beyond ten times their combined error bounds (with a 1e-9 floor for
-    routes that are exact up to rounding).
+    evaluated, on at most `CHECK_SAMPLES` Monte Carlo rows, and a
+    `ConsistencyFailure` is raised if the two disagree beyond a margin times
+    their combined error bound, with a 1e-9 floor for routes that are exact
+    up to rounding. The margin is `MC_MARGIN` when all of the bound is Monte
+    Carlo (an exact or closed-form aleatoric route against a Monte Carlo
+    direct one) and 10 otherwise.
     """
     return _decompose(Q, unit, normalized, config, check)
 
@@ -204,11 +219,17 @@ def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
     au, total_nats, eu_nats = _residual(Q, mean, config)
 
     if check:
-        direct = expect(Q, kl_to(mean), config)
+        cfg = config if config is not None else DEFAULT_CONFIG
+        if cfg.mc_samples > CHECK_SAMPLES:
+            cfg = replace(cfg, mc_samples=CHECK_SAMPLES)
+        direct = expect(Q, kl_to(mean), cfg)
+        # A mixture reports its weakest route, so an exact or closed-form entropy
+        # means no quadrature part anywhere, and the whole bound is Monte Carlo.
+        all_mc = au.method in ("exact", "closed_form") and direct.method == "monte_carlo"
         combined = au.error_bound + direct.error_bound
         gap = abs(direct.value - eu_nats)
         # Written so that a NaN gap or bound (from an infinite or NaN value) trips too.
-        if not gap <= max(10.0 * combined, IDENTITY_TOLERANCE):
+        if not gap <= max((MC_MARGIN if all_mc else 10.0) * combined, IDENTITY_TOLERANCE):
             raise ConsistencyFailure(
                 f"epistemic routes disagree: residual {eu_nats!r} vs expected-KL "
                 f"{direct.value!r} (gap {gap:.3e}, combined error bound {combined:.3e})"

@@ -30,8 +30,8 @@ from .measures import UncertaintyTriple, decompose
 DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
 
 # The consistency check inside `decompose` needs Monte Carlo for Dirichlet
-# posteriors; a reduced sample count keeps a 200-replication curve in
-# seconds while the corpus-level tests exercise the full default.
+# posteriors; 2000 rows, under the check's own cap `CHECK_SAMPLES`, keep a
+# 200-replication curve in a fraction of a second.
 _CURVE_MC_SAMPLES = 2000
 
 

@@ -374,6 +374,18 @@ def test_work_above_the_ceiling_exits_2(argv):
     assert "MAX_WORK_CELLS" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_overflowing_probabilities_exit_2_without_a_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "secondorder.cli", "eval", '{"kind":"point","theta":[1e308,1e308]}'],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: probabilities sum to inf, not 1\n"
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "secondorder.cli", "panel"],

@@ -30,11 +30,22 @@ from secondorder import (
     shannon_entropy,
     total_uncertainty,
 )
+from secondorder.measures import CHECK_SAMPLES
 
 LN2 = math.log(2.0)
 FAST = EngineConfig(mc_samples=4000, seed=3)
 
 DIRAC_MIX_01 = FiniteMixture([0.5, 0.5], [PointMass([1, 0]), PointMass([0, 1])])
+
+
+def _scaled_sampler(factor):
+    """A Dirichlet whose sampler draws from Dirichlet(factor * alpha): the right mean, the wrong spread."""
+
+    class _Scaled(Dirichlet):
+        def sample_rows(self, n, rng):
+            return Dirichlet(factor * self.alpha).sample_rows(n, rng)
+
+    return _Scaled
 
 
 class TestShannonEntropy:
@@ -228,6 +239,32 @@ class TestDecompose:
             decompose(_LateBreak([3.0, 4.0]), config=EngineConfig(mc_samples=100_000, seed=3))
         assert len(calls) > 1
 
+    @pytest.mark.parametrize("factor, mc_samples", [(1.5, 2000), (1.2, 100_000)])
+    def test_consistency_guard_trips_on_wrong_concentration(self, factor, mc_samples):
+        # At 2000 rows the x1.5 sampler's gap lies between 7.5 and 30 SE on every seed here.
+        for seed in range(20):
+            cfg = EngineConfig(mc_samples=mc_samples, seed=seed)
+            decompose(Dirichlet([1.0, 3.0, 6.0]), config=cfg)  # the honest sampler passes
+            with pytest.raises(ConsistencyFailure):
+                decompose(_scaled_sampler(factor)([1.0, 3.0, 6.0]), config=cfg)
+
+    def test_check_draws_at_most_check_samples_rows(self):
+        drawn = []
+
+        class _Recording(Dirichlet):
+            def sample_rows(self, n, rng):
+                drawn.append(n)
+                return super().sample_rows(n, rng)
+
+        q = _Recording([1.0, 3.0, 6.0])
+        decompose(q)
+        assert sum(drawn) == CHECK_SAMPLES < EngineConfig().mc_samples
+        drawn.clear()
+        decompose(q, config=EngineConfig(mc_samples=2000, seed=0))
+        assert sum(drawn) == 2000
+        # mc_samples still sets the sample count of a direct expectation
+        assert epistemic_mutual_information(q, method="expected_kl").evaluations == EngineConfig().mc_samples
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
     def test_consistency_guard_trips_on_infinite_expected_kl(self):
         # A mean with a zero cell under a sampled positive entry: KL value inf,
@@ -289,7 +326,7 @@ class TestDecompose:
                 assert all(math.isfinite(v) for v in (triple.total, triple.aleatoric, triple.epistemic))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+    @pytest.mark.filterwarnings("error:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("k", [2, 10, 1000])
     def test_extreme_mixture_and_ensemble_grid(self, k):
         # Exact atoms with subnormal, 1e-300 and 1e-12 entries (and a subnormal
