@@ -5,10 +5,14 @@ with explicit error accounting:
 
 - exact weighted sums over the atoms of an `EmpiricalEnsemble` (the one
   finite-atoms class: ensembles, and point masses as its one-atom case);
-- a digamma closed form for the expected Shannon entropy of a Dirichlet;
-- adaptive Simpson quadrature for interval uniforms, which evaluates each
-  refinement level as one batch (`quadrature_1d` calls its integrand on
-  1-d arrays of abscissae);
+- closed forms for the expected Shannon entropy: digamma for a Dirichlet,
+  and for an interval uniform the divided difference of the antiderivative
+  of -t ln t plus a Gauss-Legendre rule for the smooth remainder, each
+  written in the variable that is small near its simplex edge;
+- adaptive Simpson quadrature for every other integrand on an interval
+  uniform, as a mean over u in [0, 1] with t = lo + (hi - lo) u, so that no
+  area underflows; it evaluates each refinement level as one batch
+  (`quadrature_1d` calls its integrand on 1-d arrays of abscissae);
 - seeded Monte Carlo for everything else, with a 3-sigma error bound; it
   draws and scores chunks of at most `MC_CHUNK_CELLS` cells (rows x K) and
   merges their sums and squared deviations, so its memory is bounded
@@ -16,8 +20,8 @@ with explicit error accounting:
   seeded rows as in one pass.
 
 Mixtures split linearly over their components and combine error bounds
-additively (conservative). Every route evaluates an integrand through one
-form, its `rows_fn` on an (n, K) matrix of simplex points.
+additively (conservative). Every route that evaluates an integrand calls
+one form, its `rows_fn` on an (n, K) matrix of simplex points.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ MAX_QUAD_DEPTH = 60
 MC_CHUNK_CELLS = 1 << 13
 
 # The most cells one call may ask for: Monte Carlo rows x K, or a learning
-# curve's replications x last scheduled size. Monte Carlo ran at 28-45 M
-# cells/s for K = 2..1000 on a 2-core host, and a curve draws about 36 M
-# outcomes/s, so this is about 30 s of work.
+# curve's replications x (last scheduled size + `simulate.REPLICATION_CELLS`).
+# Monte Carlo ran at 28-45 M cells/s for K = 2..1000 on a 2-core host, and a
+# curve draws about 36 M outcomes/s, so this is about 30 s of work.
 MAX_WORK_CELLS = 1 << 30
 
 
@@ -136,7 +140,7 @@ class Integrand:
     engine calls it (ensembles and Monte Carlo on their atom or sample rows,
     quadrature on one (t, 1 - t) row per abscissa of a refinement level).
     `kind` tags integrands with a known closed form; "entropy" enables the
-    Dirichlet route.
+    Dirichlet and interval-uniform closed forms.
     """
 
     rows_fn: Callable[[np.ndarray], np.ndarray]
@@ -249,6 +253,64 @@ def _dirichlet_expected_entropy_nats(alpha: np.ndarray) -> float:
         float(ai) / a0 * digamma(float(ai) + 1.0) for ai in alpha
     )
     return max(nats, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# The interval closed form
+# ---------------------------------------------------------------------------
+
+# Ten-point Gauss-Legendre rule on [-1, 1] as (node, weight / 2) pairs, so that it
+# averages. On any subinterval of [0, 0.5] it meets the mean of the smooth part
+# of the binary entropy, -(1 - s) log1p(-s), to about 1e-16 relative.
+_GL_RULE = tuple(
+    (sign * node, half_weight)
+    for node, half_weight in (
+        (0.14887433898163122, 0.1477621123573764),
+        (0.4333953941292472, 0.13463335965499826),
+        (0.6794095682990244, 0.109543181257991),
+        (0.8650633666889845, 0.0747256745752902),
+        (0.9739065285171717, 0.03333567215434407),
+    )
+    for sign in (-1.0, 1.0)
+)
+
+
+def _mean_half_entropy(a: float, b: float) -> float:
+    """Mean of H((s, 1 - s)) in nats over s uniform on [a, b], 0 <= a < b <= 0.5.
+
+    The singular part -s ln s is the divided difference of its antiderivative
+    s**2 (1/4 - ln(s) / 2): (a + b)/4 - (a + b) ln(b)/2 - a log1p(x)/(2x)
+    with x = (b - a)/a, whose last term vanishes at a = 0 or when x
+    overflows. The smooth part -(1 - s) log1p(-s) gets the Gauss-Legendre
+    rule, which cannot cancel however narrow [a, b] is.
+    """
+    x = (b - a) / a if a > 0.0 else math.inf
+    tail = a * (math.log1p(x) / x) if x < math.inf else 0.0
+    total = a + b
+    singular = total / 4.0 - total * math.log(b) / 2.0 - tail / 2.0
+    centre, radius = 0.5 * total, 0.5 * (b - a)
+    smooth = 0.0
+    for node, weight in _GL_RULE:
+        s = centre + radius * node
+        smooth -= weight * (1.0 - s) * math.log1p(-s)
+    return singular + smooth
+
+
+def _interval_expected_entropy_nats(lo: float, hi: float) -> float:
+    """E[H((t, 1 - t))] in nats for t uniform on [lo, hi], lo < hi.
+
+    Each side of 0.5 is written in the variable that is small near its
+    simplex edge: t below 0.5, and 1 - t above it, which is exact there
+    (Sterbenz). A straddling interval weights its halves by their share of
+    the width, so no weight underflows.
+    """
+    if hi <= 0.5:
+        return _mean_half_entropy(lo, hi)
+    if lo >= 0.5:
+        return _mean_half_entropy(1.0 - hi, 1.0 - lo)
+    below, above = 0.5 - lo, hi - 0.5
+    share = below / (below + above)
+    return share * _mean_half_entropy(lo, 0.5) + (1.0 - share) * _mean_half_entropy(1.0 - hi, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +471,16 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
         if Q.lo == Q.hi:
             value = integrand.rows_fn(np.array([[Q.lo, 1.0 - Q.lo]]))[0]
             return ExpectationResult(float(value), 0.0, "exact", 1)
-        width = Q.hi - Q.lo
-        integral = quadrature_1d(
-            lambda ts: integrand.rows_fn(np.column_stack((ts, 1.0 - ts))),
-            Q.lo,
-            Q.hi,
-            tolerance=max(cfg.tolerance * width, 5e-324),  # the product underflows for a subnormal width
-        )
-        return integral.scaled(width)
+        if integrand.kind == "entropy":
+            return ExpectationResult(_interval_expected_entropy_nats(Q.lo, Q.hi), 0.0, "closed_form", 0)
+        # The mean over u in [0, 1] with t = lo + width * u: no area to underflow.
+        lo, width = Q.lo, Q.hi - Q.lo
+
+        def mean_fn(us: np.ndarray) -> np.ndarray:
+            ts = lo + width * us
+            return integrand.rows_fn(np.column_stack((ts, 1.0 - ts)))
+
+        # Called by its module name, so that a patched `quadrature_1d` sees every call.
+        return quadrature_1d(mean_fn, 0.0, 1.0, tolerance=cfg.tolerance)
 
     raise TypeError(f"unsupported distribution type {type(Q).__name__}")

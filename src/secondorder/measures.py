@@ -154,8 +154,9 @@ def aleatoric_uncertainty(
 ) -> ExpectationResult:
     """Expected level-1 entropy E[H(theta)] under Q, with an error bound.
 
-    Exact for point masses, point-mass mixtures, and ensembles; closed form
-    for Dirichlet; quadrature for interval uniforms; Monte Carlo otherwise.
+    Exact for point masses, point-mass mixtures, and ensembles; closed form,
+    with bound 0, for Dirichlets and interval uniforms. A mixture combines
+    its components' routes.
     """
     return expect(Q, ENTROPY_NATS, config).scaled(divisor(unit, Q.k, normalized))
 
@@ -205,9 +206,9 @@ def decompose(
     evaluated, on at most `CHECK_SAMPLES` Monte Carlo rows, and a
     `ConsistencyFailure` is raised if the two disagree beyond a margin times
     their combined error bound, with a 1e-9 floor for routes that are exact
-    up to rounding. The margin is `MC_MARGIN` when all of the bound is Monte
-    Carlo (an exact or closed-form aleatoric route against a Monte Carlo
-    direct one) and 10 otherwise.
+    up to rounding. The margin is 10 when `Q` has an interval-uniform
+    component, whose expected KL is a quadrature, and `MC_MARGIN` otherwise,
+    where all of the bound is Monte Carlo.
     """
     return _decompose(Q, unit, normalized, config, check)
 
@@ -223,9 +224,12 @@ def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
         if cfg.mc_samples > CHECK_SAMPLES:
             cfg = replace(cfg, mc_samples=CHECK_SAMPLES)
         direct = expect(Q, kl_to(mean), cfg)
-        # A mixture reports its weakest route, so an exact or closed-form entropy
-        # means no quadrature part anywhere, and the whole bound is Monte Carlo.
-        all_mc = au.method in ("exact", "closed_form") and direct.method == "monte_carlo"
+        # The expected entropy is exact or closed form for every family, so only
+        # an interval's expected KL, a quadrature, puts a part in the bound that
+        # is not Monte Carlo. A mixture reports only its weakest route, so its
+        # components are looked at, not the methods.
+        parts = Q.components if isinstance(Q, FiniteMixture) else (Q,)
+        all_mc = not any(isinstance(part, IntervalUniform) for part in parts)
         combined = au.error_bound + direct.error_bound
         gap = abs(direct.value - eu_nats)
         # Written so that a NaN gap or bound (from an infinite or NaN value) trips too.

@@ -74,6 +74,34 @@ def mc_dirichlet_mean(alpha, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return draws.mean(axis=0), draws.std(axis=0, ddof=1) / math.sqrt(n)
 
 
+def interval_mean_entropy_nats_mp(lo: float, hi: float) -> float:
+    """Mean binary entropy in nats over t uniform on [lo, hi], lo < hi, in mpmath.
+
+    The singular terms -t ln t and -(1 - t) ln(1 - t) near their edges are
+    antiderivative differences at 60 digits, taken in t below 0.5 and in
+    s = 1 - t above it (exact there); the smooth rest, -(1 - s) log1p(-s),
+    is tanh-sinh quadrature. No 1 - t is formed at working precision, where
+    1 - 1e-300 would round to 1.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        def half(a, b):  # integral over s in [a, b] within [0, 0.5]
+            def G(x):
+                return x * x * (mp.mpf(1) / 4 - mp.log(x) / 2) if x > 0 else mp.mpf(0)
+
+            return G(b) - G(a) + mp.quad(lambda s: -(1 - s) * mp.log1p(-s), [a, b])
+
+        lo, hi, mid = mp.mpf(lo), mp.mpf(hi), mp.mpf(0.5)
+        if hi <= mid:
+            area = half(lo, hi)
+        elif lo >= mid:
+            area = half(1 - hi, 1 - lo)
+        else:
+            area = half(lo, mid) + half(1 - hi, mid)
+        return float(area / (hi - lo))
+
+
 # --- frozen expected values ------------------------------------------------
 
 # Mean binary entropy over the full interval [0, 1] in bits; analytic value

@@ -361,8 +361,10 @@ def test_json_rows_have_the_csv_columns(capsys, tmp_path, argv, header):
     [
         ["eval", '{"kind":"dirichlet","alpha":[1,2]}', "--mc-samples", str(2**80)],
         ["curve", "--schedule", "0,10000000000000", "--replications", "1"],
+        # Each replication costs REPLICATION_CELLS draws: 2**30 of them would take hours.
+        ["curve", "--schedule", "0", "--replications", str(2**30)],
     ],
-    ids=["mc-samples-2**80", "curve-schedule-1e13"],
+    ids=["mc-samples-2**80", "curve-schedule-1e13", "curve-replications-2**30"],
 )
 def test_work_above_the_ceiling_exits_2(argv):
     # A subprocess with a timeout, so that a missing ceiling fails instead of hanging.

@@ -35,6 +35,9 @@ from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows, kl_nats_row
 
 LN2 = math.log(2.0)
 
+# The entropy without its "entropy" tag: intervals take quadrature, Dirichlets Monte Carlo.
+UNTAGGED_ENTROPY = Integrand(entropy_nats_rows)
+
 
 def binary_entropy_nats(t: np.ndarray) -> np.ndarray:
     """-t log t - (1 - t) log(1 - t), elementwise, with 0 log 0 = 0."""
@@ -91,7 +94,7 @@ class TestQuadrature:
             return entropy_nats_rows(rows)
 
         res = expect(IntervalUniform(0.0, 1.0), Integrand(rows_fn=rows_fn))
-        assert res.value == expect(IntervalUniform(0.0, 1.0), ENTROPY_NATS).value
+        assert res.value == expect(IntervalUniform(0.0, 1.0), UNTAGGED_ENTROPY).value
         assert sum(calls) == res.evaluations
         assert 1 < len(calls) <= MAX_QUAD_DEPTH + 2
 
@@ -466,12 +469,20 @@ class TestExpectDispatch:
         assert abs(res.value - 0.5) <= res.error_bound
 
     def test_interval_quadrature(self):
-        res = expect(IntervalUniform(0.0, 1.0), ENTROPY_NATS)
+        res = expect(IntervalUniform(0.0, 1.0), UNTAGGED_ENTROPY)
         assert res.method == "quadrature"
         assert abs(res.value - oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2) <= res.error_bound + 1e-12
         # Frozen panel counts of the adaptive rule at the default tolerance.
-        assert expect(IntervalUniform(0.3, 0.7), ENTROPY_NATS).evaluations == 129
-        assert expect(IntervalUniform(0.6, 1.0), ENTROPY_NATS).evaluations == 469
+        assert expect(IntervalUniform(0.3, 0.7), UNTAGGED_ENTROPY).evaluations == 129
+        assert expect(IntervalUniform(0.6, 1.0), UNTAGGED_ENTROPY).evaluations == 469
+
+    def test_interval_mean_does_not_underflow(self):
+        # The area over [1e-300, 1e-200] is about 5e-401, below the smallest float.
+        # The bound covers the rule's error; four units in the last place cover rounding.
+        res = expect(IntervalUniform(1e-300, 1e-200), Integrand(lambda rows: rows[:, 0]))
+        assert res.method == "quadrature"
+        mean = 0.5 * (1e-300 + 1e-200)
+        assert abs(res.value - mean) <= res.error_bound + 4 * math.ulp(mean)
 
     def test_interval_mean_of_identity(self):
         res = expect(IntervalUniform(0.0, 1.0), lambda t: float(t.probs[0]))
@@ -488,17 +499,19 @@ class TestExpectDispatch:
             [0.25, 0.25, 0.5],
             [PointMass([0.5, 0.5]), Dirichlet([1, 1]), IntervalUniform(0.0, 1.0)],
         )
-        res = expect(mix, ENTROPY_NATS)
-        assert res.method == "quadrature"  # the weakest contributing engine
-        parts = [
-            expect(PointMass([0.5, 0.5]), ENTROPY_NATS),
-            expect(Dirichlet([1, 1]), ENTROPY_NATS),
-            expect(IntervalUniform(0.0, 1.0), ENTROPY_NATS),
-        ]
-        manual = 0.25 * parts[0].value + 0.25 * parts[1].value + 0.5 * parts[2].value
-        manual_err = 0.25 * parts[0].error_bound + 0.25 * parts[1].error_bound + 0.5 * parts[2].error_bound
-        assert res.value == pytest.approx(manual, abs=1e-15)
-        assert res.error_bound == pytest.approx(manual_err, abs=1e-18)
+        cfg = EngineConfig(mc_samples=2000, seed=3)
+        for integrand, weakest in ((ENTROPY_NATS, "closed_form"), (UNTAGGED_ENTROPY, "monte_carlo")):
+            res = expect(mix, integrand, cfg)
+            assert res.method == weakest  # the weakest contributing engine
+            parts = [
+                expect(PointMass([0.5, 0.5]), integrand, cfg),
+                expect(Dirichlet([1, 1]), integrand, cfg),
+                expect(IntervalUniform(0.0, 1.0), integrand, cfg),
+            ]
+            manual = 0.25 * parts[0].value + 0.25 * parts[1].value + 0.5 * parts[2].value
+            manual_err = 0.25 * parts[0].error_bound + 0.25 * parts[1].error_bound + 0.5 * parts[2].error_bound
+            assert res.value == pytest.approx(manual, abs=1e-15)
+            assert res.error_bound == pytest.approx(manual_err, abs=1e-18)
 
     def test_mixture_linearity_random(self):
         rng = np.random.default_rng(40)
@@ -522,6 +535,24 @@ class TestExpectDispatch:
             assert abs(total.value - manual) <= errs + 1e-12
 
 
+class TestIntervalClosedForm:
+    def test_matches_mpmath_across_widths_and_positions(self):
+        # Widths from the smallest subnormal to 1, at 0, at 1, centred at 0.5 and at
+        # 1e-300, plus the three intervals Simpson on the area got wrong with bound 0.
+        cases = [(1e-300, 1e-200), (0.0, 3.5e-323), (1.0 - 2.0**-53, 1.0), (1e-20, 1e-10), (0.2, 0.9)]
+        for w in (5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 2.0**-53, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5, 1.0):
+            for lo, hi in ((0.0, w), (1.0 - w, 1.0), (0.5 - w / 2, 0.5 + w / 2), (1e-300, 1e-300 + w)):
+                if lo < hi:  # 0.5 +- w/2 and 1 - w round to one point for the narrowest widths
+                    cases.append((lo, hi))
+        assert len(cases) == 49
+        for lo, hi in cases:
+            res = expect(IntervalUniform(lo, hi), ENTROPY_NATS)
+            assert (res.method, res.error_bound, res.evaluations) == ("closed_form", 0.0, 0)
+            want = oc.interval_mean_entropy_nats_mp(lo, hi)
+            # Relative 1e-13, with a floor of four units in the last place of a subnormal.
+            assert abs(res.value - want) <= max(1e-13 * want, 4 * 5e-324), (lo, hi, res.value, want)
+
+
 class TestEngineAgreement:
     def test_dirichlet_closed_form_vs_mc(self):
         rng = np.random.default_rng(50)
@@ -537,6 +568,17 @@ class TestEngineAgreement:
         for i in range(20):
             lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
             q = IntervalUniform(float(lo), float(hi))
-            quad = expect(q, ENTROPY_NATS)
+            quad = expect(q, UNTAGGED_ENTROPY)
+            assert quad.method == "quadrature"
             mc = mc_expect(q, ENTROPY_NATS, n_samples=100_000, seed=2000 + i)
             assert abs(quad.value - mc.value) <= quad.error_bound + mc.error_bound
+
+    def test_interval_closed_form_vs_mc(self):
+        rng = np.random.default_rng(52)
+        for i in range(20):
+            lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+            q = IntervalUniform(float(lo), float(hi))
+            closed = expect(q, ENTROPY_NATS)
+            assert closed.method == "closed_form"
+            mc = mc_expect(q, ENTROPY_NATS, n_samples=100_000, seed=2100 + i)
+            assert abs(closed.value - mc.value) <= mc.error_bound

@@ -30,6 +30,7 @@ from secondorder import (
     shannon_entropy,
     total_uncertainty,
 )
+from secondorder.integrate import ENTROPY_NATS, entropy_nats_rows, expect, kl_nats_rows, kl_to
 from secondorder.measures import CHECK_SAMPLES
 
 LN2 = math.log(2.0)
@@ -135,10 +136,25 @@ class TestAleatoricUncertainty:
         assert res.method == "exact"
 
     def test_uniform_interval(self):
-        res = aleatoric_uncertainty(IntervalUniform(0, 1))
+        # The quadrature route, through the entropy without its closed-form tag.
+        res = expect(IntervalUniform(0, 1), Integrand(entropy_nats_rows)).scaled(LN2)
         assert res.method == "quadrature"
         assert abs(res.value - oc.FROZEN_UNIFORM01_ALEATORIC_BITS) <= 1e-6
         assert abs(res.value - oc.FROZEN_UNIFORM01_ALEATORIC_BITS) <= res.error_bound + 1e-12
+        closed = aleatoric_uncertainty(IntervalUniform(0, 1))
+        assert (closed.method, closed.error_bound) == ("closed_form", 0.0)
+        assert closed.value == pytest.approx(oc.FROZEN_UNIFORM01_ALEATORIC_BITS, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, nats",
+        [(1e-300, 1e-200, 2.3100850929941e-198), (1.0 - 2.0**-53, 1.0, 3.0622195091497e-15 * LN2)],
+        ids=["1e-300-to-1e-200", "one-ulp-at-edge"],
+    )
+    def test_hairline_intervals_are_exact(self, lo, hi, nats):
+        # Simpson on the area gave 0.0 and 1.0e-15 bits here, both with bound 0.
+        res = aleatoric_uncertainty(IntervalUniform(lo, hi), "nats", normalized=False)
+        assert res.value == pytest.approx(nats, rel=1e-12, abs=0.0)
+        assert res.value == pytest.approx(oc.interval_mean_entropy_nats_mp(lo, hi), rel=1e-13, abs=0.0)
 
 
 class TestEpistemicMutualInformation:
@@ -247,6 +263,32 @@ class TestDecompose:
             decompose(Dirichlet([1.0, 3.0, 6.0]), config=cfg)  # the honest sampler passes
             with pytest.raises(ConsistencyFailure):
                 decompose(_scaled_sampler(factor)([1.0, 3.0, 6.0]), config=cfg)
+
+    def test_interval_mixture_keeps_the_quadrature_margin(self, monkeypatch):
+        # The entropy is closed form on both components and the expected KL is
+        # Monte Carlo at its weakest, but the interval's KL part is a quadrature:
+        # the check trips at 10 times the combined bound, not at MC_MARGIN times.
+        import secondorder.measures as measures
+
+        q = FiniteMixture([0.5, 0.5], [Dirichlet([2, 3]), IntervalUniform(0.2, 0.7)])
+        cfg = EngineConfig(mc_samples=2000, seed=5)
+        mean = q.predictive_mean()
+        au = expect(q, ENTROPY_NATS, cfg)
+        direct = expect(q, kl_to(mean), cfg)
+        assert (au.method, direct.method) == ("closed_form", "monte_carlo")
+        residual = shannon_entropy(mean, "nats") - au.value
+        combined = au.error_bound + direct.error_bound
+        assert combined > 1e-6
+
+        def shifted_to(ratio):  # moves the expected KL to `ratio` times the bound from the residual
+            shift = residual + ratio * combined - direct.value
+            return lambda m: Integrand(lambda rows: kl_nats_rows(rows, m.probs) + shift)
+
+        monkeypatch.setattr(measures, "kl_to", shifted_to(5.0))
+        decompose(q, config=cfg)
+        monkeypatch.setattr(measures, "kl_to", shifted_to(12.0))
+        with pytest.raises(ConsistencyFailure):
+            decompose(q, config=cfg)
 
     def test_check_draws_at_most_check_samples_rows(self):
         drawn = []

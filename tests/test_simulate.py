@@ -118,12 +118,14 @@ class TestLearningCurve:
             )
 
     def test_work_ceiling(self, monkeypatch):
-        monkeypatch.setattr(simulate, "MAX_WORK_CELLS", 100)
+        # Each replication is charged its last size plus REPLICATION_CELLS draws.
+        monkeypatch.setattr(simulate, "MAX_WORK_CELLS", 2 * (50 + simulate.REPLICATION_CELLS))
         learning_curve(Categorical((0.3, 0.7)), schedule=(0, 50), replications=2, seed=0)
         with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
             learning_curve(Categorical((0.3, 0.7)), schedule=(0, 51), replications=2, seed=0)
+        learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=2, seed=0)
         with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
-            learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=101, seed=0)
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=3, seed=0)
 
     def test_replications_positive(self):
         with pytest.raises(InvalidSpec):
