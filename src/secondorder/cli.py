@@ -99,19 +99,15 @@ def _triple_row(triple, bounds=None) -> dict:
     return row
 
 
-def _engine(args) -> EngineConfig:
-    return EngineConfig(tolerance=args.tol, mc_samples=args.mc_samples, seed=args.seed)
-
-
 def cmd_eval(args) -> tuple[tuple[str, ...], list[dict]]:
     Q = validate(_load_spec(args.spec))
-    triple = decompose(Q, unit=args.unit, normalized=not args.raw, config=_engine(args))
+    triple = decompose(Q, unit=args.unit, normalized=not args.raw, config=EngineConfig(seed=args.seed))
     bounds = aleatoric_bounds(Q, unit=args.unit, normalized=not args.raw)
     return EVAL_HEADER, [{"name": Q.kind, **_triple_row(triple, bounds)}]
 
 
 def cmd_panel(args) -> tuple[tuple[str, ...], list[dict]]:
-    engine = _engine(args)
+    engine = EngineConfig(seed=args.seed)
     if args.panel_file:
         entries = _parse_json(Path(args.panel_file).read_text())
         if not isinstance(entries, list):
@@ -210,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Each command takes only the options it reads.
     for p in (p_eval, p_panel, p_curve):
         p.add_argument("--seed", type=int, default=0)
-    for p in (p_eval, p_panel):
-        p.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
-        p.add_argument("--mc-samples", type=int, default=100_000)
 
     return parser
 

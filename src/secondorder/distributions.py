@@ -21,6 +21,7 @@ the documented generator, so outputs are reproducible from a 64-bit seed).
 
 from __future__ import annotations
 
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,9 +155,10 @@ class Categorical:
         return f"Categorical({self._probs.tolist()!r})"
 
 
-def _check_sample_count(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
+def check_count(value, name: str, least: int, error: type = ValueError) -> None:
+    """Raise `error` naming `name` unless `value` is an integer (not a bool) >= `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class SecondOrderDistribution:
@@ -212,7 +214,7 @@ class Dirichlet(SecondOrderDistribution):
         return _mean_of(self.alpha / self.alpha.sum(), (self.alpha,))
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        _check_sample_count(n)
+        check_count(n, "sample count", 1)
         # Independent standard Gamma draws (the same variates and generator
         # state as `rng.gamma` with unit scale), normalized per row in place.
         # A row whose draws all underflow to 0 becomes 0/0 = NaN.
@@ -256,7 +258,7 @@ class IntervalUniform(SecondOrderDistribution):
         return _mean_of(np.array([0.5 * (lo + hi), 0.5 * ((1.0 - lo) + (1.0 - hi))]), ends)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        _check_sample_count(n)
+        check_count(n, "sample count", 1)
         t = rng.uniform(self.lo, self.hi, size=n)
         return np.column_stack((t, 1.0 - t))
 
@@ -310,7 +312,7 @@ class FiniteMixture(SecondOrderDistribution):
         return _mean_of(mean, means)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        _check_sample_count(n)
+        check_count(n, "sample count", 1)
         idx = rng.choice(len(self.components), size=n, p=self.weights)
         out = np.empty((n, self.k))
         for i, comp in enumerate(self.components):
@@ -365,7 +367,7 @@ class EmpiricalEnsemble(SecondOrderDistribution):
         return _mean_of(self.weights @ self._matrix, self._matrix)
 
     def sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        _check_sample_count(n)
+        check_count(n, "sample count", 1)
         w = self.weights
         # Equal weights draw with `integers`, which consumes no state for one atom.
         idx = rng.choice(self.m, size=n, p=None if np.all(w == w[0]) else w)

@@ -27,7 +27,6 @@ one form, its `rows_fn` on an (n, K) matrix of simplex points.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +39,7 @@ from .distributions import (
     FiniteMixture,
     IntervalUniform,
     SecondOrderDistribution,
+    check_count,
     row_sums,
 )
 from .errors import IntegrationFailure
@@ -59,16 +59,10 @@ MAX_QUAD_DEPTH = 60
 MC_CHUNK_CELLS = 1 << 13
 
 # The most cells one call may ask for: Monte Carlo rows x K, or a learning
-# curve's replications x (last scheduled size + `simulate.REPLICATION_CELLS`).
+# curve's outcome draws plus `simulate.posterior_cells` per decomposition.
 # Monte Carlo ran at 28-45 M cells/s for K = 2..1000 on a 2-core host, and a
 # curve draws about 36 M outcomes/s, so this is about 30 s of work.
 MAX_WORK_CELLS = 1 << 30
-
-
-def check_count(value, name: str, least: int, error: type = ValueError) -> None:
-    """Raise `error` naming `name` unless `value` is an integer (not a bool) >= `least`."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

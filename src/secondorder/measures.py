@@ -147,18 +147,15 @@ def total_uncertainty(Q: SecondOrderDistribution, unit: str = "bits", normalized
 
 
 def aleatoric_uncertainty(
-    Q: SecondOrderDistribution,
-    unit: str = "bits",
-    normalized: bool = True,
-    config: EngineConfig | None = None,
+    Q: SecondOrderDistribution, unit: str = "bits", normalized: bool = True
 ) -> ExpectationResult:
     """Expected level-1 entropy E[H(theta)] under Q, with an error bound.
 
-    Exact for point masses, point-mass mixtures, and ensembles; closed form,
-    with bound 0, for Dirichlets and interval uniforms. A mixture combines
-    its components' routes.
+    Exact for point masses, point-mass mixtures, and ensembles; closed form
+    for Dirichlets and interval uniforms; a mixture combines its components'
+    routes. Every route has bound 0, so it takes no engine config.
     """
-    return expect(Q, ENTROPY_NATS, config).scaled(divisor(unit, Q.k, normalized))
+    return expect(Q, ENTROPY_NATS).scaled(divisor(unit, Q.k, normalized))
 
 
 def epistemic_mutual_information(
@@ -176,7 +173,7 @@ def epistemic_mutual_information(
     a useful cross-check.
     """
     if method == "residual":
-        au, _, eu_nats = _residual(Q, Q.predictive_mean(), config)
+        au, _, eu_nats = _residual(Q, Q.predictive_mean())
         raw = ExpectationResult(eu_nats, au.error_bound, au.method, au.evaluations)
     elif method == "expected_kl":
         raw = expect(Q, kl_to(Q.predictive_mean()), config)
@@ -185,9 +182,9 @@ def epistemic_mutual_information(
     return raw.scaled(divisor(unit, Q.k, normalized))
 
 
-def _residual(Q, mean: Categorical, config) -> tuple[ExpectationResult, float, float]:
+def _residual(Q, mean: Categorical) -> tuple[ExpectationResult, float, float]:
     """E[H(theta)] in nats, H(mean) in nats, and their difference clipped at 0."""
-    au = expect(Q, ENTROPY_NATS, config)
+    au = expect(Q, ENTROPY_NATS)
     total_nats = entropy_nats(mean.probs)
     return au, total_nats, max(total_nats - au.value, 0.0)  # mutual information is non-negative
 
@@ -217,7 +214,7 @@ def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
     # `ensemble_decompose` calls this body directly, so that a wrapper on
     # `decompose` (perfbench/tracer.py) sees only calls of `decompose` itself.
     mean = Q.predictive_mean()
-    au, total_nats, eu_nats = _residual(Q, mean, config)
+    au, total_nats, eu_nats = _residual(Q, mean)
 
     if check:
         cfg = config if config is not None else DEFAULT_CONFIG

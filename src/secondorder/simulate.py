@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Categorical, Dirichlet
+from .distributions import Categorical, Dirichlet, check_count
 from .errors import DimensionMismatch, InvalidSpec
-from .integrate import MAX_WORK_CELLS, MC_CHUNK_CELLS, EngineConfig, check_count
+from .integrate import MAX_WORK_CELLS, MC_CHUNK_CELLS, EngineConfig
 from .measures import UncertaintyTriple, decompose
 
 DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
@@ -34,10 +34,14 @@ DEFAULT_SCHEDULE = (0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 5000, 10000)
 # 200-replication curve in a fraction of a second.
 _CURVE_MC_SAMPLES = 2000
 
-# What one replication costs, in outcome draws, whatever its schedule: its
-# generator, first draw and counting took 22-47 us on a 2-core host, against
-# about 25 ns per drawn outcome.
-REPLICATION_CELLS = 1 << 11
+
+def posterior_cells(k: int) -> int:
+    """The `MAX_WORK_CELLS` charge for decomposing one K-outcome curve posterior.
+
+    One with its 2000-row check took 0.38, 1.4, 7.9 and 86 ms at K = 2, 10, 100
+    and 1000 on a 2-core host, within 1.5x of this charge at 28-45 M cells/s.
+    """
+    return 2 * _CURVE_MC_SAMPLES * (k + 2)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ def learning_curve(
     `MC_CHUNK_CELLS` (the same stream as one draw) and counted without being
     stored, so memory stays bounded whatever the schedule; time still grows
     with its last size. Sizes must be integers in [0, 2**53], since counts
-    are float64 concentrations, and `replications` times the last size plus
-    `REPLICATION_CELLS` may not exceed `MAX_WORK_CELLS`. Each distinct
+    are float64 concentrations, and `replications` x (last size + points x
+    `posterior_cells(K)`) may not exceed `MAX_WORK_CELLS`. Each distinct
     posterior is decomposed once per call with
     `EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)`: the unit,
     normalization and engine are fixed, so equal counts give equal triples,
@@ -105,14 +109,17 @@ def learning_curve(
         raise DimensionMismatch(f"prior has K={prior.k} but theta* has K={theta_star.k}")
     points = _check_schedule(schedule)
     check_count(replications, "replications", 1, InvalidSpec)
-    if replications * (points[-1] + REPLICATION_CELLS) > MAX_WORK_CELLS:
+    k = theta_star.k
+    # Every outcome drawn, and a decomposition per (replication, point) pair,
+    # which also covers a replication's own generator and counting (22-47 us).
+    cells = replications * (points[-1] + len(points) * posterior_cells(k))
+    if cells > MAX_WORK_CELLS:
         raise InvalidSpec(
-            f"replications x (last size + REPLICATION_CELLS = {REPLICATION_CELLS}) "
+            f"replications x (last size + points x posterior_cells(K)) = {cells} "
             f"exceeds MAX_WORK_CELLS = {MAX_WORK_CELLS}"
         )
     cfg = EngineConfig(mc_samples=_CURVE_MC_SAMPLES, seed=seed)
 
-    k = theta_star.k
     sums = np.zeros((len(points), 3))
     error_sums = np.zeros(len(points))
     triples: dict[bytes, UncertaintyTriple] = {}  # posterior counts -> its decomposition

@@ -1,12 +1,16 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import oracles as oc
+from secondorder import ConsistencyFailure, IntegrationFailure, cli
 from secondorder.cli import CURVE_HEADER, EVAL_HEADER, PANEL_HEADER, main
 
 DIRAC_MIX_SPEC = json.dumps(
@@ -25,6 +29,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_unrecognized(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+# Commands that take --seed but no engine flag.
+SEEDED = (["eval", '{"kind":"point","theta":[0.5,0.5]}'], ["panel"])
 
 
 class TestEval:
@@ -65,21 +82,22 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "no/such/file.json")
         assert code == 2
 
-    def test_unreachable_tolerance_exits_3(self, capsys):
-        code, out, err = run_cli(
-            capsys, "eval", '{"kind":"interval_uniform","lo":0,"hi":1}', "--tol", "1e-30"
-        )
-        assert code == 3
-        assert out == ""
-        assert "numerical failure" in err
+    def test_numerical_failure_exits_3(self, capsys, monkeypatch):
+        for failure in (IntegrationFailure, ConsistencyFailure):
+
+            def fail(*args, **kwargs):
+                raise failure("planted")
+
+            monkeypatch.setattr(cli, "decompose", fail)
+            code, out, err = run_cli(capsys, "eval", '{"kind":"interval_uniform","lo":0,"hi":1}')
+            assert code == 3
+            assert out == ""
+            assert "numerical failure" in err
 
     @pytest.mark.parametrize(
         "spec, flag, value",
-        [
-            ('{"kind":"interval_uniform","lo":0,"hi":1}', "--tol", "nan"),
-            ('{"kind":"point","theta":[0.5,0.5]}', "--seed", "-1"),
-        ],
-        ids=["nan-tolerance", "negative-seed"],
+        [('{"kind":"point","theta":[0.5,0.5]}', "--seed", "-1")],
+        ids=["negative-seed"],
     )
     def test_bad_engine_option_exits_2(self, capsys, spec, flag, value):
         code, out, err = run_cli(capsys, "eval", spec, flag, value)
@@ -267,12 +285,8 @@ class TestCurve:
 
     @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--mc-samples", "1")])
     def test_engine_options_are_not_taken(self, capsys, flag, value):
-        with pytest.raises(SystemExit) as exc:
-            main(["curve", "--replications", "1", flag, value])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+        for argv in (["curve", "--replications", "1"], *SEEDED):
+            assert_unrecognized(capsys, *argv, flag, value)
 
 
 class TestEnsembleCommand:
@@ -324,12 +338,8 @@ class TestEnsembleCommand:
     def test_engine_options_are_not_taken(self, capsys, tmp_path, flag, value):
         path = tmp_path / "members.txt"
         path.write_text("0.2 0.8\n0.8 0.2\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["ensemble", str(path), flag, value])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+        for argv in (["ensemble", str(path)], *(SEEDED if flag != "--seed" else ())):
+            assert_unrecognized(capsys, *argv, flag, value)
 
 
 @pytest.mark.parametrize(
@@ -359,12 +369,13 @@ def test_json_rows_have_the_csv_columns(capsys, tmp_path, argv, header):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", '{"kind":"dirichlet","alpha":[1,2]}', "--mc-samples", str(2**80)],
         ["curve", "--schedule", "0,10000000000000", "--replications", "1"],
-        # Each replication costs REPLICATION_CELLS draws: 2**30 of them would take hours.
+        # Each replication seeds its own generator: 2**30 of them would take hours.
         ["curve", "--schedule", "0", "--replications", str(2**30)],
+        # 4 M posteriors to decompose, about 20 minutes of work.
+        ["curve", "--schedule", ",".join(map(str, range(10001))), "--replications", "400"],
     ],
-    ids=["mc-samples-2**80", "curve-schedule-1e13", "curve-replications-2**30"],
+    ids=["curve-schedule-1e13", "curve-replications-2**30", "curve-dense-schedule"],
 )
 def test_work_above_the_ceiling_exits_2(argv):
     # A subprocess with a timeout, so that a missing ceiling fails instead of hanging.
@@ -396,3 +407,25 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "name,total,aleatoric,epistemic"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `secondorder ...` line in README's sh blocks, comments cut."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("secondorder ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text('{"kind":"dirichlet","alpha":[1,3,6]}')
+    (tmp_path / "members.txt").write_text("# two members\n0.2 0.8\n0.7 0.3\n")
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert out

@@ -1,9 +1,9 @@
 """Fuzzing `cli.main`: any argv exits 0, 2 or 3, and never with a traceback.
 
 Arguments are drawn from a fixed vocabulary of commands and flags, with JSON
-specs of every kind, valid and malformed. Sizes stay small (at most 10**4
-Monte Carlo samples, 5 replications, schedule entries up to 100), so each
-example runs in milliseconds.
+specs of every kind, valid and malformed. Curve sizes stay small (5
+replications, schedule entries up to 100), so each example runs in
+milliseconds.
 """
 
 import contextlib
@@ -99,8 +99,6 @@ VALUES = {
     "--format": _choice(["csv", "json"], ["xml"]),
     "--out": _choice(["@OUT"], ["@DIR"]),
     "--seed": _choice(["0", "1", "7", str(2**70)], ["-1", "x"]),
-    "--tol": _choice(["1e-10", "1e-4", "inf"], ["nan", "0", "-1", "x"]),
-    "--mc-samples": _choice(["2", "100", "1000", "10000"], ["1", "0", "-5", "x"]),
     "--replications": _choice(["1", "2", "5"], ["0", "-1", "x"]),
     "--schedule": st.one_of(
         st.lists(st.integers(1, 100), max_size=4, unique=True).map(
@@ -114,15 +112,15 @@ VALUES = {
 }
 COMMON = ("--unit", "--raw", "--format", "--out")
 # Flags a command may draw besides the size flags, which it always gets, so the
-# defaults' 100k samples and 200 x 13 curve points never run.
+# default 200 x 13 curve points never run.
 TAKES = {
-    "eval": (*COMMON, "--seed", "--tol"),
-    "panel": (*COMMON, "--seed", "--tol"),
+    "eval": (*COMMON, "--seed"),
+    "panel": (*COMMON, "--seed"),
     "curve": (*COMMON, "--seed", "--theta-star", "--prior"),
     "ensemble": COMMON,
     "bogus": (),
 }
-SIZES = {"eval": ("--mc-samples",), "panel": ("--mc-samples",), "curve": ("--replications", "--schedule")}
+SIZES = {"curve": ("--replications", "--schedule")}
 
 
 @st.composite

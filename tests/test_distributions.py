@@ -331,6 +331,22 @@ class TestSample:
         with pytest.raises(ValueError):
             PointMass([0.5, 0.5]).sample_rows(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [True, 2.5, np.float64(3.0), "3"], ids=repr)
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Dirichlet([1.0, 3.0]),
+            IntervalUniform(0.2, 0.6),
+            FiniteMixture([0.5, 0.5], [Dirichlet([2, 2]), PointMass([0.9, 0.1])]),
+            EmpiricalEnsemble([[0.2, 0.8], [0.7, 0.3]]),
+            PointMass([0.5, 0.5]),
+        ],
+        ids=lambda q: type(q).__name__,
+    )
+    def test_sample_count_must_be_an_integer(self, q, n):
+        with pytest.raises(ValueError, match="sample count must be an integer >= 1"):
+            q.sample_rows(n, np.random.default_rng(0))
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(12)
         for _ in range(20):

@@ -214,6 +214,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(seed=-1)
 
+    def test_rejects_mc_samples_above_the_ceiling(self):
+        EngineConfig(mc_samples=integrate.MAX_WORK_CELLS // 2)
+        for n in (integrate.MAX_WORK_CELLS // 2 + 1, 2**80):
+            with pytest.raises(ValueError, match="MAX_WORK_CELLS"):
+                EngineConfig(mc_samples=n)
+
     def test_numpy_integers_are_accepted(self):
         cfg = EngineConfig(mc_samples=np.int64(100), seed=np.uint32(7))
         assert mc_expect(Dirichlet([2, 2]), ENTROPY_NATS, cfg.mc_samples, cfg.seed).evaluations == 100

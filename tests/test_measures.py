@@ -532,7 +532,7 @@ class TestAleatoricBounds:
         rng = np.random.default_rng(13)
         for _ in range(60):
             q = random_distribution(rng)
-            au = aleatoric_uncertainty(q, config=FAST)
+            au = aleatoric_uncertainty(q)
             b = aleatoric_bounds(q)
             assert b.lower - 2.0 * au.error_bound - 1e-12 <= au.value
             assert au.value <= b.upper + 2.0 * au.error_bound + 1e-12

@@ -120,7 +120,7 @@ def test_measure_ranges(q):
 @settings(max_examples=25)
 @given(second_order())
 def test_bounds_sandwich(q):
-    au = aleatoric_uncertainty(q, config=FAST)
+    au = aleatoric_uncertainty(q)
     bounds = aleatoric_bounds(q)
     assert bounds.lower - 2.0 * au.error_bound - 1e-12 <= au.value
     assert au.value <= bounds.upper + 2.0 * au.error_bound + 1e-12

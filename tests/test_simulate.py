@@ -118,14 +118,20 @@ class TestLearningCurve:
             )
 
     def test_work_ceiling(self, monkeypatch):
-        # Each replication is charged its last size plus REPLICATION_CELLS draws.
-        monkeypatch.setattr(simulate, "MAX_WORK_CELLS", 2 * (50 + simulate.REPLICATION_CELLS))
+        # Each replication is charged its last size plus posterior_cells(K) per point.
+        pair = simulate.posterior_cells(2)
+        monkeypatch.setattr(simulate, "MAX_WORK_CELLS", 2 * (50 + 2 * pair))
         learning_curve(Categorical((0.3, 0.7)), schedule=(0, 50), replications=2, seed=0)
         with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
             learning_curve(Categorical((0.3, 0.7)), schedule=(0, 51), replications=2, seed=0)
-        learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=2, seed=0)
         with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
-            learning_curve(Categorical((0.3, 0.7)), schedule=(0,), replications=3, seed=0)
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0, 1, 2), replications=2, seed=0)
+        learning_curve(Categorical((0.3, 0.7)), schedule=(0, 50), replications=1, seed=0)
+        with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
+            learning_curve(Categorical((0.3, 0.7)), schedule=(0, 50), replications=3, seed=0)
+        # The charge grows with K: the same curve at K = 3 is refused.
+        with pytest.raises(InvalidSpec, match="MAX_WORK_CELLS"):
+            learning_curve(Categorical((0.2, 0.3, 0.5)), schedule=(0, 50), replications=2, seed=0)
 
     def test_replications_positive(self):
         with pytest.raises(InvalidSpec):
