@@ -11,8 +11,10 @@ with explicit error accounting:
   written in the variable that is small near its simplex edge;
 - adaptive Simpson quadrature for every other integrand on an interval
   uniform, as a mean over u in [0, 1] with t = lo + (hi - lo) u, so that no
-  area underflows; it evaluates each refinement level as one batch
-  (`quadrature_1d` calls its integrand on 1-d arrays of abscissae);
+  area underflows; it starts from panels graded toward both ends, where the
+  t ln t terms of entropy and KL are singular, and evaluates that start mesh
+  and then each refinement level as one batch (`quadrature_1d` calls its
+  integrand on 1-d arrays of abscissae);
 - seeded Monte Carlo for everything else, with a 3-sigma error bound; it
   draws and scores chunks of at most `MC_CHUNK_CELLS` cells (rows x K) and
   merges their sums and squared deviations, so its memory is bounded
@@ -50,7 +52,10 @@ METHODS = ("exact", "closed_form", "quadrature", "monte_carlo")
 # Weakest-link ordering when a mixture combines results from several engines.
 _METHOD_RANK = {m: i for i, m in enumerate(METHODS)}
 
+# Refinement levels of adaptive Simpson after its start mesh, whose panel
+# widths halve toward both ends of [a, b] down to 2**-QUAD_GRADING of b - a.
 MAX_QUAD_DEPTH = 60
+QUAD_GRADING = 20
 
 # Monte Carlo draws and scores at most this many cells (rows x K) at a time:
 # 64 KiB per float64 array, under glibc's default 128 KiB mmap threshold.
@@ -322,19 +327,29 @@ def quadrature_1d(
     """Integrate f over [a, b] by adaptive Simpson bisection, one level at a time.
 
     `f` maps a 1-d array of abscissae to as many values (a scalar broadcasts).
-    It is called once on (a, mid, b), then once per refinement level on the
-    two new midpoints of every open panel; f never sees more than `max_evals`
-    points. A panel is accepted when |S_fine - S_coarse| is within 15x its
-    share of the tolerance, which halves per level; the Richardson-corrected
-    value is returned with the accumulated estimate as the error bound.
-    Degenerate intervals (a == b) return 0 exactly.
+    The start mesh has 2 * QUAD_GRADING panels whose widths halve toward both
+    ends, from half of b - a down to 2**-QUAD_GRADING of it, so that a
+    singular end is resolved at once. f is called once on the start mesh's
+    breakpoints and panel midpoints, then once per refinement level on the
+    two new midpoints of every open panel, and never sees more than
+    `max_evals` points. A panel is accepted when |S_fine - S_coarse| <=
+    15 * tolerance * width / (b - a); the Richardson-corrected value is
+    returned with the accumulated estimate as the error bound. A value of f
+    that is NaN or infinite raises at once, naming its abscissa. Degenerate
+    intervals (a == b) return 0 exactly.
     """
+    for name, x in (("a", a), ("b", b)):
+        if not math.isfinite(x):
+            raise ValueError(f"integration limit {name} must be finite, got {x!r}")
     if a > b:
         raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
     if not tolerance > 0.0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     if a == b:
         return ExpectationResult(0.0, 0.0, "exact", 0)
+    width = b - a
+    if width == math.inf:
+        raise ValueError(f"b - a overflows, got a={a!r}, b={b!r}")
 
     evals = 0
 
@@ -345,33 +360,44 @@ def quadrature_1d(
                 f"quadrature exceeded {max_evals} evaluations before reaching tolerance {tolerance}"
             )
         evals += ts.size
-        return np.full(ts.shape, f(ts), dtype=float)
+        values = np.full(ts.shape, f(ts), dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = np.flatnonzero(~finite)[np.argmin(ts[~finite])]
+            raise IntegrationFailure(f"integrand is {float(values[i])!r} at abscissa {float(ts[i])!r}")
+        return values
 
-    # One column per open panel: x0, x2, f(x0), f((x0 + x2) / 2), f(x2). Each level
+    # Each open panel is x0, x2, f(x0), f((x0 + x2) / 2), f(x2); each level
     # recomputes the midpoint and coarse Simpson estimate from them bit for bit.
-    panels = np.concatenate(([a, b], ev(np.array([a, 0.5 * (a + b), b]))))[:, np.newaxis]
+    shares = 0.5 ** np.arange(QUAD_GRADING, 0, -1)
+    breaks = np.concatenate(([a], a + width * shares, b - width * shares[-2::-1], [b]))
+    x0, x2 = breaks[:-1], breaks[1:]
+    start = ev(np.concatenate((breaks, 0.5 * (x0 + x2))))
+    f0, f2, fm = start[: x0.size], start[1 : breaks.size], start[breaks.size :]
+    accept = 15.0 * tolerance
     value = error = 0.0
-    eps = tolerance
     for _ in range(MAX_QUAD_DEPTH + 1):
-        x0, x2, f0, fm, f2 = panels
+        n = x0.size
         xm = 0.5 * (x0 + x2)
-        whole = (x2 - x0) / 6.0 * (f0 + 4.0 * fm + f2)
-        flm, frm = ev(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))).reshape(2, -1)
-        left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-        right = (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
-        delta = left + right - whole
-        done = np.abs(delta) <= 15.0 * eps
-        value += float(np.sum((left + right + delta / 15.0)[done]))
-        error += float(np.sum(np.abs(delta[done]) / 15.0))
+        quarters = ev(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2))))
+        flm, frm = quarters[:n], quarters[n:]
+        h = x2 - x0
+        fine = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm) + (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
+        delta = fine - h / 6.0 * (f0 + 4.0 * fm + f2)
+        size = np.abs(delta)
+        done = size <= h / width * accept
+        value += float((fine + delta / 15.0)[done].sum())
+        error += float((size[done] / 15.0).sum())
         if done.all():
             return ExpectationResult(value, error, "quadrature", evals)
-        lefts = np.stack((x0, xm, f0, flm, fm))
-        rights = np.stack((xm, x2, fm, frm, f2))
-        panels = np.concatenate((lefts, rights), axis=1)[:, np.tile(~done, 2)]
-        eps *= 0.5
+        keep = ~done
+        x0, xm, x2 = x0[keep], xm[keep], x2[keep]
+        f0, flm, fm, frm, f2 = f0[keep], flm[keep], fm[keep], frm[keep], f2[keep]
+        x0, x2 = np.concatenate((x0, xm)), np.concatenate((xm, x2))
+        f0, fm, f2 = np.concatenate((f0, fm)), np.concatenate((flm, frm)), np.concatenate((fm, f2))
     raise IntegrationFailure(
         f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error "
-        f"{float(np.abs(delta).max()) / 15.0:.3e} (tolerance {tolerance})"
+        f"{float(size.max()) / 15.0:.3e} (tolerance {tolerance})"
     )
 
 

@@ -409,6 +409,22 @@ def test_console_script_smoke():
     assert proc.stdout.splitlines()[0] == "name,total,aleatoric,epistemic"
 
 
+LIGHT_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import secondorder.cli
+added = {name.split(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(added - set(sys.stdlib_module_names) - {"numpy", "secondorder"})))
+"""
+
+
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # Every CLI call pays for its imports; scipy and the other test extras stay out.
+    proc = subprocess.run([sys.executable, "-c", LIGHT_IMPORT], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

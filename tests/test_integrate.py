@@ -31,7 +31,7 @@ from secondorder import (
     quadrature_1d,
 )
 from secondorder import integrate
-from secondorder.integrate import MAX_QUAD_DEPTH, entropy_nats_rows, kl_nats_rows, kl_to
+from secondorder.integrate import MAX_QUAD_DEPTH, QUAD_GRADING, entropy_nats, entropy_nats_rows, kl_nats_rows, kl_to
 
 LN2 = math.log(2.0)
 
@@ -110,6 +110,8 @@ def _seven_row_quadrature(f, a, b, tolerance=1e-10, max_evals=1_000_000):
 
     Each column held x0, xm, x2, f(x0), f(xm), f(x2) and the coarse Simpson
     estimate; `quadrature_1d` keeps five and recomputes xm and the estimate.
+    Both start from the same graded mesh and accept a panel by its share of
+    the width.
     """
     if a == b:
         return integrate.ExpectationResult(0.0, 0.0, "exact", 0)
@@ -124,12 +126,16 @@ def _seven_row_quadrature(f, a, b, tolerance=1e-10, max_evals=1_000_000):
         evals += ts.size
         return np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
 
-    mid = 0.5 * (a + b)
-    fa, fmid, fb = ev(np.array([a, mid, b]))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
-    panels = np.array([[a], [mid], [b], [fa], [fmid], [fb], [whole]])
+    width = b - a
+    shares = [0.5**k for k in range(QUAD_GRADING, 0, -1)]
+    breaks = np.array([a] + [a + width * s for s in shares] + [b - width * s for s in shares[-2::-1]] + [b])
+    x0, x2 = breaks[:-1], breaks[1:]
+    mid = 0.5 * (x0 + x2)
+    fbreaks, fmid = np.split(ev(np.concatenate((breaks, mid))), [breaks.size])
+    fa, fb = fbreaks[:-1], fbreaks[1:]
+    whole = (x2 - x0) / 6.0 * (fa + 4.0 * fmid + fb)
+    panels = np.array([x0, mid, x2, fa, fmid, fb, whole])
     value = error = 0.0
-    eps = tolerance
     for _ in range(MAX_QUAD_DEPTH + 1):
         x0, xm, x2, f0, fm, f2, whole = panels
         lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
@@ -137,7 +143,7 @@ def _seven_row_quadrature(f, a, b, tolerance=1e-10, max_evals=1_000_000):
         left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
         right = (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
         delta = left + right - whole
-        done = np.abs(delta) <= 15.0 * eps
+        done = np.abs(delta) <= (x2 - x0) / width * (15.0 * tolerance)
         value += float(np.sum((left + right + delta / 15.0)[done]))
         error += float(np.sum(np.abs(delta[done]) / 15.0))
         if done.all():
@@ -145,7 +151,6 @@ def _seven_row_quadrature(f, a, b, tolerance=1e-10, max_evals=1_000_000):
         lefts = np.stack((x0, lm, xm, f0, flm, fm, left))
         rights = np.stack((xm, rm, x2, fm, frm, f2, right))
         panels = np.concatenate((lefts, rights), axis=1)[:, np.tile(~done, 2)]
-        eps *= 0.5
     raise IntegrationFailure(
         f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error "
         f"{float(np.abs(delta).max()) / 15.0:.3e} (tolerance {tolerance})"
@@ -189,13 +194,55 @@ class TestFiveNumberPanels:
                 expected = _outcome(_seven_row_quadrature, f, a, b, tolerance)
                 assert _outcome(quadrature_1d, f, a, b, tolerance) == expected
 
-    @pytest.mark.parametrize("f", [lambda t: np.full(t.shape, np.nan), lambda t: 1.0 / (t - 0.3)],
-                             ids=["nan", "pole"])
+    @pytest.mark.parametrize("f", [lambda t: 1.0 / (t - 0.3)], ids=["pole"])
     def test_same_failure_as_the_seven_row_loop(self, f):
         with np.errstate(all="ignore"):
             expected = _outcome(_seven_row_quadrature, f, 0.0, 1.0, 1e-10)
             assert _outcome(quadrature_1d, f, 0.0, 1.0, 1e-10) == expected
         assert expected[0] == "failure" and "exceeded 1000000 evaluations" in expected[1]
+
+    @pytest.mark.parametrize(
+        "f, named, n_calls",
+        [
+            (lambda t: np.full(t.shape, np.nan), "integrand is nan at abscissa 0.0", 1),
+            (lambda t: np.where(t == 0.0, np.inf, t), "integrand is inf at abscissa 0.0", 1),
+            (lambda t: np.where(t > 0.7, -np.inf, t), "integrand is -inf at abscissa 0.75", 1),
+            # 0.3125 is a quarter point of the start panel [0.25, 0.5], first seen in call 2.
+            (lambda t: np.where(t == 0.3125, np.nan, t), "integrand is nan at abscissa 0.3125", 2),
+        ],
+        ids=["nan", "inf-at-0", "-inf-above-0.7", "nan-at-a-quarter-point"],
+    )
+    def test_non_finite_integrand_is_named_where_it_appears(self, f, named, n_calls):
+        calls = []
+
+        def counting(ts):
+            calls.append(ts.size)
+            return f(ts)
+
+        with pytest.raises(IntegrationFailure, match=f"^{named}$"):
+            quadrature_1d(counting, 0.0, 1.0)
+        assert len(calls) == n_calls
+
+    @pytest.mark.parametrize(
+        "a, b, named",
+        [
+            (0.0, math.inf, "limit b must be finite"),
+            (math.nan, 1.0, "limit a must be finite"),
+            (0.0, math.nan, "limit b must be finite"),
+            (-math.inf, 0.0, "limit a must be finite"),
+            (-1e308, 1e308, "b - a overflows"),
+        ],
+    )
+    def test_non_finite_limits_are_named_before_f_is_called(self, a, b, named):
+        calls = []
+
+        def counting(ts):
+            calls.append(ts.size)
+            return ts
+
+        with pytest.raises(ValueError, match=named):
+            quadrature_1d(counting, a, b)
+        assert calls == []
 
     def test_scalar_broadcasts_and_wrong_length_raises(self):
         assert quadrature_1d(lambda t: 2.0, 0.0, 1.0).value == 2.0
@@ -479,8 +526,28 @@ class TestExpectDispatch:
         assert res.method == "quadrature"
         assert abs(res.value - oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2) <= res.error_bound + 1e-12
         # Frozen panel counts of the adaptive rule at the default tolerance.
-        assert expect(IntervalUniform(0.3, 0.7), UNTAGGED_ENTROPY).evaluations == 129
-        assert expect(IntervalUniform(0.6, 1.0), UNTAGGED_ENTROPY).evaluations == 469
+        assert expect(IntervalUniform(0.3, 0.7), UNTAGGED_ENTROPY).evaluations == 249
+        assert expect(IntervalUniform(0.6, 1.0), UNTAGGED_ENTROPY).evaluations == 529
+
+    def test_check_kl_resolves_the_edges_from_the_graded_start(self):
+        # The consistency check's expected KL on intervals that touch 0 or 1: the
+        # graded start mesh resolves the t ln t end in its first integrand call.
+        for lo, hi in ((0.0, 1.0), (0.0, 0.43), (0.6, 1.0)):
+            q = IntervalUniform(lo, hi)
+            calls = []
+            kl = kl_to(q.predictive_mean())
+
+            def rows_fn(rows, kl=kl, calls=calls):
+                calls.append(rows.shape[0])
+                return kl.rows_fn(rows)
+
+            expect(q, Integrand(rows_fn))
+            assert len(calls) <= 8, (lo, hi, len(calls))
+        # Against the total minus the closed-form expected entropy at a 1e-12 edge.
+        q = IntervalUniform(0.0, 1e-12)
+        mean = q.predictive_mean()
+        exact = entropy_nats(mean.probs) - integrate._interval_expected_entropy_nats(0.0, 1e-12)
+        assert abs(expect(q, kl_to(mean)).value - exact) <= 1e-17
 
     def test_interval_mean_does_not_underflow(self):
         # The area over [1e-300, 1e-200] is about 5e-401, below the smallest float.
