@@ -23,16 +23,20 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .distributions import (
     Dirichlet,
     EmpiricalEnsemble,
     FiniteMixture,
     IntervalUniform,
     PointMass,
+    _frozen,
+    _probability_rows,
     validate,
 )
-from .ensemble import ensemble_decompose, parse_member_matrix
-from .errors import ConsistencyFailure, DistributionError, IntegrationFailure, InvalidSpec
+from .ensemble import ensemble_decompose
+from .errors import ConsistencyFailure, DimensionMismatch, DistributionError, EmptyEnsemble, IntegrationFailure, InvalidSpec
 from .integrate import EngineConfig
 from .measures import aleatoric_bounds, decompose
 from .simulate import DEFAULT_SCHEDULE, learning_curve
@@ -150,6 +154,31 @@ def cmd_curve(args) -> tuple[tuple[str, ...], list[dict]]:
     return CURVE_HEADER, rows
 
 
+def parse_member_matrix(text: str) -> np.ndarray:
+    """Parse the plain-text member format, one member per line, into a read-only (M, K) matrix.
+
+    Probabilities are whitespace-separated; blank lines and ``#`` comments
+    are skipped. Each line is validated on its own, so parse and validation
+    errors, and a row of another length than the first, name its 1-based line.
+    """
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append(_probability_rows([float(tok) for tok in line.split()], ndim=1))
+        except DistributionError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from exc
+        except ValueError as exc:  # a token that float() rejects
+            raise InvalidSpec(f"line {lineno}: not a probability row: {line!r}") from exc
+        if rows[-1].size != rows[0].size:
+            raise DimensionMismatch(f"line {lineno}: {rows[-1].size} entries, the first row has {rows[0].size}")
+    if not rows:
+        raise EmptyEnsemble("no member rows found")
+    return _frozen(rows)
+
+
 def cmd_ensemble(args) -> tuple[tuple[str, ...], list[dict]]:
     text = Path(args.members).read_text()
     if text.lstrip().startswith("{"):
@@ -213,12 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        header, rows = args.func(args)
+        # A NaN that numpy makes is a numerical failure, not a warning on stderr.
+        with np.errstate(invalid="raise"):
+            header, rows = args.func(args)
         _emit(header, rows, args)
     except (DistributionError, OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationFailure, ConsistencyFailure) as exc:
+    except (IntegrationFailure, ConsistencyFailure, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

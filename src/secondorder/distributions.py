@@ -125,19 +125,13 @@ class Categorical:
         self._probs = _probability_rows(probs, ndim=1)
 
     @classmethod
-    def _from_row(cls, row: np.ndarray) -> "Categorical":
-        # Fast path for internally generated points already on the simplex.
-        obj = object.__new__(cls)
-        obj._probs = row
-        return obj
-
-    @classmethod
     def _normalized(cls, row: np.ndarray) -> "Categorical":
         # Fast path for means built inside the library: finite, non-negative and
         # summing to 1 up to rounding; renormalized exactly as the validator does.
-        probs = row / row.sum()
-        probs.flags.writeable = False
-        return cls._from_row(probs)
+        obj = object.__new__(cls)
+        obj._probs = row / row.sum()
+        obj._probs.flags.writeable = False
+        return obj
 
     @property
     def probs(self) -> np.ndarray:

@@ -12,9 +12,8 @@ finite, exact sums; `ensemble_decompose` runs the same code as `decompose`.
 
 from __future__ import annotations
 
-from .distributions import Categorical, EmpiricalEnsemble
-from .errors import DistributionError, EmptyEnsemble, InvalidSpec
-from .integrate import kl_nats_rows
+from .distributions import EmpiricalEnsemble
+from .integrate import expect, kl_to
 from .measures import UncertaintyTriple, _decompose
 from .units import divisor
 
@@ -25,10 +24,10 @@ def js_divergence(e: EmpiricalEnsemble, unit: str = "bits") -> float:
     """Jensen-Shannon divergence of the members from their weighted mean.
 
     Always finite: the mean dominates every member with positive weight.
-    Zero exactly when all members coincide.
+    Zero exactly when all members coincide. The sum is the exact route of
+    `expect`, the one `decompose`'s check takes.
     """
-    kl_terms = kl_nats_rows(e.member_matrix, e.predictive_mean().probs)
-    nats = float(e.weights @ kl_terms)
+    nats = expect(e, kl_to(e.predictive_mean())).value
     return max(nats, 0.0) / divisor(unit)
 
 
@@ -42,28 +41,3 @@ def ensemble_decompose(
     difference); all sums are finite and exact, so the error bound is zero.
     """
     return _decompose(e, unit, normalized, None, check=False)
-
-
-def parse_member_matrix(text: str) -> list[Categorical]:
-    """Parse the plain-text member format: one member per line.
-
-    Probabilities are whitespace-separated; blank lines and ``#`` comments
-    are skipped. Parse and validation errors name the offending 1-based
-    line number.
-    """
-    members: list[Categorical] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values = [float(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise InvalidSpec(f"line {lineno}: not a probability row: {line!r}") from exc
-        try:
-            members.append(Categorical(values))
-        except DistributionError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from exc
-    if not members:
-        raise EmptyEnsemble("no member rows found")
-    return members

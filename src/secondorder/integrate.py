@@ -133,13 +133,14 @@ DEFAULT_CONFIG = EngineConfig()
 
 @dataclass(frozen=True)
 class Integrand:
-    """A real-valued function of a level-1 distribution, evaluated on a batch.
+    """A real-valued function of level-1 points, evaluated on a batch of probability rows.
 
     `rows_fn` maps an (n, K) matrix of simplex points to n values; every
     engine calls it (ensembles and Monte Carlo on their atom or sample rows,
     quadrature on one (t, 1 - t) row per abscissa of a refinement level).
-    `kind` tags integrands with a known closed form; "entropy" enables the
-    Dirichlet and interval-uniform closed forms.
+    A plain callable given to `expect` or `mc_expect` is taken as the
+    `rows_fn`. `kind` tags integrands with a known closed form; "entropy"
+    enables the Dirichlet and interval-uniform closed forms.
     """
 
     rows_fn: Callable[[np.ndarray], np.ndarray]
@@ -147,18 +148,12 @@ class Integrand:
 
 
 def as_integrand(f) -> Integrand:
-    """`f` as an Integrand; a scalar f(Categorical) is lifted to rows by calling it per row."""
+    """`f` as an Integrand: an Integrand as it is, a plain callable as its `rows_fn`."""
     if isinstance(f, Integrand):
         return f
     if not callable(f):
         raise TypeError(f"expected a callable or Integrand, got {type(f).__name__}")
-
-    def rows_fn(rows: np.ndarray) -> np.ndarray:
-        frozen = rows if not rows.flags.writeable else rows.copy()
-        frozen.flags.writeable = False
-        return np.array([f(Categorical._from_row(row)) for row in frozen])
-
-    return Integrand(rows_fn)
+    return Integrand(f)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +409,7 @@ def mc_expect(
 ) -> ExpectationResult:
     """Monte Carlo estimate of E[f(theta)] with a 3-standard-error bound.
 
+    `f` is an `Integrand`, or a plain callable taken as its `rows_fn`.
     Deterministic given `seed`: a fresh PCG64 generator is created per call.
     Samples are drawn from it and scored in chunks of
     max(1, MC_CHUNK_CELLS // K) rows, so memory stays bounded whatever K and
@@ -442,6 +438,8 @@ def mc_expect(
     while done < n_samples:
         n = min(chunk, n_samples - done)
         values = np.asarray(integrand.rows_fn(Q.sample_rows(n, rng)), dtype=float)
+        if values.shape != (n,):  # a scalar would be summed once per chunk, not per row
+            raise ValueError(f"integrand gave shape {values.shape} for {n} rows, not one value per row")
         chunk_sum = values.sum()
         chunk_m2 = float(((values - chunk_sum / n) ** 2).sum())
         if done:
@@ -464,7 +462,10 @@ def expect(
     f,
     config: EngineConfig | None = None,
 ) -> ExpectationResult:
-    """Evaluate E[f(theta)] for theta ~ Q with the best available engine."""
+    """Evaluate E[f(theta)] for theta ~ Q with the best available engine.
+
+    `f` is an `Integrand`, or a plain callable taken as its `rows_fn`.
+    """
     cfg = config if config is not None else DEFAULT_CONFIG
     return _expect(Q, as_integrand(f), cfg)
 

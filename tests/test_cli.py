@@ -399,6 +399,23 @@ def test_overflowing_probabilities_exit_2_without_a_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A posterior with alpha near 2**-8: some row of gamma draws underflows to all zeros.
+        ["curve", "--replications", "1", "--schedule", "0", "--prior", "0.00390625,0.0078125"],
+        ["eval", '{"kind":"dirichlet","alpha":[1e-300,1e-300]}'],
+    ],
+    ids=["curve-sparse-prior", "eval-subnormal-dirichlet"],
+)
+def test_nan_from_numpy_exits_3_with_one_line(capsys, argv):
+    # The Dirichlet sampler divides 0/0 on such rows; `main` names that, without
+    # numpy's warning or a traceback on stderr.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: invalid value encountered in divide\n"
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "secondorder.cli", "panel"],

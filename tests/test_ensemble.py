@@ -20,9 +20,9 @@ from secondorder import (
     decompose,
     ensemble_decompose,
     js_divergence,
-    parse_member_matrix,
     shannon_entropy,
 )
+from secondorder.cli import parse_member_matrix
 
 
 class TestEnsemblePrediction:
@@ -171,7 +171,8 @@ class TestMemberMatrixParsing:
     def test_basic(self):
         members = parse_member_matrix("0.2 0.8\n0.8 0.2\n")
         assert len(members) == 2
-        np.testing.assert_allclose(members[0].probs, [0.2, 0.8])
+        np.testing.assert_allclose(members[0], [0.2, 0.8])
+        assert members.shape == (2, 2) and not members.flags.writeable
 
     def test_comments_and_blanks(self):
         text = "# ensemble dump\n\n0.5 0.5  # fair\n\n0.9 0.1\n"
@@ -186,8 +187,8 @@ class TestMemberMatrixParsing:
             parse_member_matrix("0.4 0.5\n0.5 0.5\n")
 
     def test_mismatched_row_lengths(self):
-        with pytest.raises(DimensionMismatch):
-            EnsemblePrediction(parse_member_matrix("0.5 0.5\n0.2 0.3 0.5\n"))
+        with pytest.raises(DimensionMismatch, match="line 2"):
+            parse_member_matrix("0.5 0.5\n0.2 0.3 0.5\n")
 
     def test_empty_input(self):
         with pytest.raises(EmptyEnsemble):

@@ -409,7 +409,7 @@ class TestDirichletExpectedEntropy:
 
 class TestMCExpect:
     def test_constant_function(self):
-        res = mc_expect(Dirichlet([2, 2]), lambda theta: 3.25, n_samples=100, seed=0)
+        res = mc_expect(Dirichlet([2, 2]), lambda rows: np.full(len(rows), 3.25), n_samples=100, seed=0)
         assert res.value == 3.25
         assert res.error_bound == 0.0
         assert res.method == "monte_carlo"
@@ -422,7 +422,7 @@ class TestMCExpect:
         assert a == b
 
     def test_symmetric_coordinate(self):
-        res = mc_expect(Dirichlet([2, 2]), lambda theta: theta.probs[0], n_samples=50_000, seed=5)
+        res = mc_expect(Dirichlet([2, 2]), lambda rows: rows[:, 0], n_samples=50_000, seed=5)
         assert abs(res.value - 0.5) <= res.error_bound
 
     def test_needs_two_samples(self):
@@ -498,7 +498,7 @@ class TestMCExpect:
 class TestExpectDispatch:
     def test_point_mass_exact(self):
         theta = Categorical([0.3, 0.7])
-        res = expect(PointMass(theta), lambda t: float(t.probs[0]) ** 2)
+        res = expect(PointMass(theta), lambda rows: rows[:, 0] ** 2)
         assert res.value == 0.3**2
         assert res.error_bound == 0.0
         assert res.method == "exact"
@@ -517,7 +517,7 @@ class TestExpectDispatch:
         assert res.error_bound == 0.0
 
     def test_dirichlet_generic_function_goes_monte_carlo(self):
-        res = expect(Dirichlet([2, 2]), lambda t: float(t.probs[0]), EngineConfig(mc_samples=2000))
+        res = expect(Dirichlet([2, 2]), lambda rows: rows[:, 0], EngineConfig(mc_samples=2000))
         assert res.method == "monte_carlo"
         assert abs(res.value - 0.5) <= res.error_bound
 
@@ -558,7 +558,7 @@ class TestExpectDispatch:
         assert abs(res.value - mean) <= res.error_bound + 4 * math.ulp(mean)
 
     def test_interval_mean_of_identity(self):
-        res = expect(IntervalUniform(0.0, 1.0), lambda t: float(t.probs[0]))
+        res = expect(IntervalUniform(0.0, 1.0), lambda rows: rows[:, 0])
         assert abs(res.value - 0.5) <= max(res.error_bound, 1e-12)
 
     def test_degenerate_interval_exact(self):

@@ -355,7 +355,7 @@ class TestDecompose:
     def test_extreme_parameter_grid(self):
         # Every case ends in a finite triple or a named library error. At
         # alpha = 1e-6 most gamma-normalized rows are 0/0 (numpy warns), which
-        # the check reports as a ConsistencyFailure (ROADMAP item 2a).
+        # the check reports as a ConsistencyFailure (ROADMAP item 1(a)).
         named = (DistributionError, IntegrationFailure, ConsistencyFailure)
         cfg = EngineConfig(mc_samples=2000, seed=0)
         for alpha in (1e-6, 1e-2, 1.0, 1e3, 1e12):
