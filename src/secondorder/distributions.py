@@ -265,6 +265,15 @@ class FiniteMixture(SecondOrderDistribution):
 
     Nested mixtures are spliced into the parent on construction (weights
     multiply through), so a constructed mixture never contains mixtures.
+    Two or more finite-atom components (`PointMass`, `EmpiricalEnsemble`)
+    are then folded into one `EmpiricalEnsemble`, at the position of the
+    first and with their total weight: its atoms are theirs in order, each
+    weighted w_c * w_cm over that total, so every expectation over them is
+    one (M, K) matrix. An atom whose product weight underflows to 0 keeps
+    its row: it stays in the support (`aleatoric_bounds`, and the cells the
+    mean keeps positive) and adds 0 to every expectation. If every product
+    weight underflows, the ensemble keeps those zeros, and its total weight
+    is 0.
     """
 
     kind = "mixture"
@@ -291,6 +300,17 @@ class FiniteMixture(SecondOrderDistribution):
             else:
                 flat_w.append(float(wi))
                 flat_c.append(comp)
+        atoms = [i for i, comp in enumerate(flat_c) if isinstance(comp, EmpiricalEnsemble)]
+        if len(atoms) > 1:
+            first = atoms[0]
+            mass = sum(flat_w[i] for i in atoms)
+            weights = np.array([flat_w[i] * w_cm for i in atoms for w_cm in flat_c[i].weights.tolist()])
+            flat_c[first] = EmpiricalEnsemble._validated(
+                np.concatenate([flat_c[i].member_matrix for i in atoms]), weights / mass if mass else weights
+            )
+            flat_w[first] = mass
+            for i in reversed(atoms[1:]):
+                del flat_w[i], flat_c[i]
         self.weights = _frozen(flat_w)
         self.components = tuple(flat_c)
 
@@ -343,6 +363,15 @@ class EmpiricalEnsemble(SecondOrderDistribution):
             self.weights = _frozen(np.full(len(rows), 1.0 / len(rows)))
         else:
             self.weights = _weights(weights, len(rows), "member")
+
+    @classmethod
+    def _validated(cls, matrix: np.ndarray, weights: np.ndarray) -> "EmpiricalEnsemble":
+        # Fast path for atoms built inside the library from validated ones: the
+        # rows are not checked again, and a weight may have underflowed to 0.
+        obj = object.__new__(cls)
+        obj._matrix, obj.weights = matrix, weights
+        matrix.flags.writeable = weights.flags.writeable = False
+        return obj
 
     @property
     def member_matrix(self) -> np.ndarray:

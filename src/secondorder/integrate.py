@@ -9,12 +9,14 @@ with explicit error accounting:
   and for an interval uniform the divided difference of the antiderivative
   of -t ln t plus a Gauss-Legendre rule for the smooth remainder, each
   written in the variable that is small near its simplex edge;
-- adaptive Simpson quadrature for every other integrand on an interval
-  uniform, as a mean over u in [0, 1] with t = lo + (hi - lo) u, so that no
-  area underflows; it starts from panels graded toward both ends, where the
-  t ln t terms of entropy and KL are singular, and evaluates that start mesh
-  and then each refinement level as one batch (`quadrature_1d` calls its
-  integrand on 1-d arrays of abscissae);
+- adaptive Gauss-Kronrod (G7/K15) quadrature for every other integrand on
+  an interval uniform, as a mean over u in [0, 1] with t = lo + (hi - lo) u,
+  so that no area underflows; it starts from panels graded toward both
+  ends, where the t ln t terms of entropy and KL are singular, and
+  evaluates the nodes of that start mesh, then of each refinement level, as
+  one batch (`quadrature_1d` calls its integrand on 1-d arrays of
+  abscissae); the start mesh alone resolves the entropy and the consistency
+  check's KL;
 - seeded Monte Carlo for everything else, with a 3-sigma error bound; it
   draws and scores chunks of at most `MC_CHUNK_CELLS` cells (rows x K) and
   merges their sums and squared deviations, so its memory is bounded
@@ -22,8 +24,10 @@ with explicit error accounting:
   seeded rows as in one pass.
 
 Mixtures split linearly over their components and combine error bounds
-additively (conservative). Every route that evaluates an integrand calls
-one form, its `rows_fn` on an (n, K) matrix of simplex points.
+additively (conservative); their point masses and ensembles are one
+ensemble component (`FiniteMixture` folds them), so one exact sum. Every
+route that evaluates an integrand calls one form, its `rows_fn` on an
+(n, K) matrix of simplex points, and takes one value per row from it.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ METHODS = ("exact", "closed_form", "quadrature", "monte_carlo")
 # Weakest-link ordering when a mixture combines results from several engines.
 _METHOD_RANK = {m: i for i, m in enumerate(METHODS)}
 
-# Refinement levels of adaptive Simpson after its start mesh, whose panel
+# Refinement levels of adaptive Gauss-Kronrod after its start mesh, whose panel
 # widths halve toward both ends of [a, b] down to 2**-QUAD_GRADING of b - a.
 MAX_QUAD_DEPTH = 60
 QUAD_GRADING = 20
@@ -75,8 +79,8 @@ class ExpectationResult:
     """Value of an expectation together with how it was obtained.
 
     `error_bound` is an absolute bound (estimate) on the numerical error:
-    zero for the exact and closed-form routes, the accumulated Simpson
-    estimate for quadrature, and three standard errors for Monte Carlo.
+    zero for the exact and closed-form routes, the summed |K15 - G7| of the
+    accepted panels for quadrature, and three standard errors for Monte Carlo.
     """
 
     value: float
@@ -308,8 +312,31 @@ def _interval_expected_entropy_nats(lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Simpson quadrature
+# Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
+
+# The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule, as in
+# QUADPACK's qk15 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner 1983): rows
+# of (node >= 0, Kronrod weight, Gauss weight), the Gauss weight 0 at a node that
+# only the Kronrod rule uses. K15 is exact to degree 22 and G7 to degree 13.
+_GK_HALF = (
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+)
+# The start mesh's breakpoints are a + (b - a) * _RISE, then b - (b - a) * _FALL:
+# the panels widen from 2**-QUAD_GRADING of b - a to 1/2 of it, then narrow again.
+_RISE = np.concatenate(([0.0], 0.5 ** np.arange(QUAD_GRADING, 0, -1)))
+_FALL = _RISE[-2::-1]
+
+_GK_NODES = np.array([-x for x, _, _ in _GK_HALF[:0:-1]] + [x for x, _, _ in _GK_HALF])
+# Row 0 weighs those 15 ascending nodes for K15, row 1 for G7.
+_GK_WEIGHTS = np.array([[row[i] for row in _GK_HALF[:0:-1] + _GK_HALF] for i in (1, 2)])
 
 
 def quadrature_1d(
@@ -319,19 +346,20 @@ def quadrature_1d(
     tolerance: float = 1e-10,
     max_evals: int = 1_000_000,
 ) -> ExpectationResult:
-    """Integrate f over [a, b] by adaptive Simpson bisection, one level at a time.
+    """Integrate f over [a, b] by adaptive Gauss-Kronrod (G7/K15) bisection, one level at a time.
 
     `f` maps a 1-d array of abscissae to as many values (a scalar broadcasts).
     The start mesh has 2 * QUAD_GRADING panels whose widths halve toward both
     ends, from half of b - a down to 2**-QUAD_GRADING of it, so that a
-    singular end is resolved at once. f is called once on the start mesh's
-    breakpoints and panel midpoints, then once per refinement level on the
-    two new midpoints of every open panel, and never sees more than
-    `max_evals` points. A panel is accepted when |S_fine - S_coarse| <=
-    15 * tolerance * width / (b - a); the Richardson-corrected value is
-    returned with the accumulated estimate as the error bound. A value of f
-    that is NaN or infinite raises at once, naming its abscissa. Degenerate
-    intervals (a == b) return 0 exactly.
+    singular end is resolved at once. f is called once per level on the 15
+    Kronrod nodes of every open panel, the start mesh being level 0, and
+    never sees more than `max_evals` points. The rule is open: f is never
+    evaluated at a or b, nor at a panel's ends, unless rounding puts a node
+    there (a panel only a few float spacings wide). A panel is accepted when
+    |K15 - G7| <= tolerance * width / (b - a); the sum of the accepted K15
+    values is returned with the sum of their |K15 - G7| as the error bound.
+    A value of f that is NaN or infinite raises at once, naming its
+    abscissa. Degenerate intervals (a == b) return 0 exactly.
     """
     for name, x in (("a", a), ("b", b)):
         if not math.isfinite(x):
@@ -355,50 +383,63 @@ def quadrature_1d(
                 f"quadrature exceeded {max_evals} evaluations before reaching tolerance {tolerance}"
             )
         evals += ts.size
-        values = np.full(ts.shape, f(ts), dtype=float)
+        values = np.asarray(f(ts), dtype=float)
+        if values.shape != ts.shape:  # a scalar broadcasts; a wrong length raises here
+            values = np.full(ts.shape, values)
         finite = np.isfinite(values)
         if not finite.all():
             i = np.flatnonzero(~finite)[np.argmin(ts[~finite])]
             raise IntegrationFailure(f"integrand is {float(values[i])!r} at abscissa {float(ts[i])!r}")
         return values
 
-    # Each open panel is x0, x2, f(x0), f((x0 + x2) / 2), f(x2); each level
-    # recomputes the midpoint and coarse Simpson estimate from them bit for bit.
-    shares = 0.5 ** np.arange(QUAD_GRADING, 0, -1)
-    breaks = np.concatenate(([a], a + width * shares, b - width * shares[-2::-1], [b]))
+    breaks = np.concatenate((a + width * _RISE, b - width * _FALL))
     x0, x2 = breaks[:-1], breaks[1:]
-    start = ev(np.concatenate((breaks, 0.5 * (x0 + x2))))
-    f0, f2, fm = start[: x0.size], start[1 : breaks.size], start[breaks.size :]
-    accept = 15.0 * tolerance
-    value = error = 0.0
-    for _ in range(MAX_QUAD_DEPTH + 1):
-        n = x0.size
-        xm = 0.5 * (x0 + x2)
-        quarters = ev(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2))))
-        flm, frm = quarters[:n], quarters[n:]
-        h = x2 - x0
-        fine = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm) + (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
-        delta = fine - h / 6.0 * (f0 + 4.0 * fm + f2)
-        size = np.abs(delta)
-        done = size <= h / width * accept
-        value += float((fine + delta / 15.0)[done].sum())
-        error += float((size[done] / 15.0).sum())
+    # The level sums are added exactly: added one at a time, the 25 levels of
+    # |t - 0.3| on [0, 1] rounded its integral 0.29 by 8 units in the last place.
+    level_sums = []
+    error = 0.0
+    for depth in range(MAX_QUAD_DEPTH + 1):
+        centre, radius = 0.5 * (x0 + x2), 0.5 * (x2 - x0)
+        nodes = centre[:, np.newaxis] + radius[:, np.newaxis] * _GK_NODES
+        values = ev(nodes.ravel()).reshape(nodes.shape)
+        # einsum gives each panel the same sums whatever the number of panels.
+        kronrod, gauss = radius * np.einsum("pj,rj->rp", values, _GK_WEIGHTS)
+        size = np.abs(kronrod - gauss)
+        limit = (x2 - x0) / width * tolerance
+        done = size <= limit
+        level_sums.append(float(kronrod[done].sum()))
+        error += float(size[done].sum())
         if done.all():
-            return ExpectationResult(value, error, "quadrature", evals)
+            return ExpectationResult(math.fsum(level_sums), error, "quadrature", evals)
+        if depth == MAX_QUAD_DEPTH:
+            worst = np.argmax(size - limit)
+            raise IntegrationFailure(
+                f"quadrature hit depth {MAX_QUAD_DEPTH}: panel [{float(x0[worst])!r}, {float(x2[worst])!r}] "
+                f"has error {float(size[worst]):.3e} above its limit {float(limit[worst]):.3e} "
+                f"(its share of tolerance {tolerance})"
+            )
         keep = ~done
-        x0, xm, x2 = x0[keep], xm[keep], x2[keep]
-        f0, flm, fm, frm, f2 = f0[keep], flm[keep], fm[keep], frm[keep], f2[keep]
-        x0, x2 = np.concatenate((x0, xm)), np.concatenate((xm, x2))
-        f0, fm, f2 = np.concatenate((f0, fm)), np.concatenate((flm, frm)), np.concatenate((fm, f2))
-    raise IntegrationFailure(
-        f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error "
-        f"{float(size.max()) / 15.0:.3e} (tolerance {tolerance})"
-    )
+        x0, centre, x2 = x0[keep], centre[keep], x2[keep]
+        x0, x2 = np.concatenate((x0, centre)), np.concatenate((centre, x2))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
+
+
+def _row_values(integrand: Integrand, rows: np.ndarray) -> np.ndarray:
+    """`integrand` on an (n, K) matrix as n floats; any other shape raises, naming it.
+
+    A scalar or an (n, 1) column would otherwise broadcast, or be summed once
+    for all rows, without a word.
+    """
+    values = np.asarray(integrand.rows_fn(rows), dtype=float)
+    if values.shape != (rows.shape[0],):
+        raise ValueError(
+            f"integrand gave shape {values.shape} for {rows.shape[0]} rows, not one value per row"
+        )
+    return values
 
 
 def mc_expect(
@@ -437,9 +478,7 @@ def mc_expect(
     total = m2 = 0.0
     while done < n_samples:
         n = min(chunk, n_samples - done)
-        values = np.asarray(integrand.rows_fn(Q.sample_rows(n, rng)), dtype=float)
-        if values.shape != (n,):  # a scalar would be summed once per chunk, not per row
-            raise ValueError(f"integrand gave shape {values.shape} for {n} rows, not one value per row")
+        values = _row_values(integrand, Q.sample_rows(n, rng))
         chunk_sum = values.sum()
         chunk_m2 = float(((values - chunk_sum / n) ** 2).sum())
         if done:
@@ -472,7 +511,7 @@ def expect(
 
 def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig) -> ExpectationResult:
     if isinstance(Q, EmpiricalEnsemble):
-        values = integrand.rows_fn(Q.member_matrix)
+        values = _row_values(integrand, Q.member_matrix)
         return ExpectationResult(float(Q.weights @ values), 0.0, "exact", Q.m)
 
     if isinstance(Q, FiniteMixture):
@@ -490,7 +529,7 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
 
     if isinstance(Q, IntervalUniform):
         if Q.lo == Q.hi:
-            value = integrand.rows_fn(np.array([[Q.lo, 1.0 - Q.lo]]))[0]
+            value = _row_values(integrand, np.array([[Q.lo, 1.0 - Q.lo]]))[0]
             return ExpectationResult(float(value), 0.0, "exact", 1)
         if integrand.kind == "entropy":
             return ExpectationResult(_interval_expected_entropy_nats(Q.lo, Q.hi), 0.0, "closed_form", 0)
@@ -498,8 +537,10 @@ def _expect(Q: SecondOrderDistribution, integrand: Integrand, cfg: EngineConfig)
         lo, width = Q.lo, Q.hi - Q.lo
 
         def mean_fn(us: np.ndarray) -> np.ndarray:
-            ts = lo + width * us
-            return integrand.rows_fn(np.column_stack((ts, 1.0 - ts)))
+            rows = np.empty((us.size, 2))  # the rows (t, 1 - t), filled in place
+            np.add(lo, width * us, out=rows[:, 0])
+            np.subtract(1.0, rows[:, 0], out=rows[:, 1])
+            return _row_values(integrand, rows)
 
         # Called by its module name, so that a patched `quadrature_1d` sees every call.
         return quadrature_1d(mean_fn, 0.0, 1.0, tolerance=cfg.tolerance)

@@ -60,6 +60,9 @@ CHECK_SAMPLES = 8192
 # 10 x 3 SE on all 100 000 rows.
 MC_MARGIN = 2.5
 
+# The check's engine settings when `decompose` is given no config.
+_CHECK_CONFIG = replace(DEFAULT_CONFIG, mc_samples=CHECK_SAMPLES)
+
 
 @dataclass(frozen=True)
 class UncertaintyTriple:
@@ -217,7 +220,7 @@ def _decompose(Q, unit, normalized, config, check) -> UncertaintyTriple:
     au, total_nats, eu_nats = _residual(Q, mean)
 
     if check:
-        cfg = config if config is not None else DEFAULT_CONFIG
+        cfg = config if config is not None else _CHECK_CONFIG
         if cfg.mc_samples > CHECK_SAMPLES:
             cfg = replace(cfg, mc_samples=CHECK_SAMPLES)
         direct = expect(Q, kl_to(mean), cfg)

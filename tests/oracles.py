@@ -102,6 +102,26 @@ def interval_mean_entropy_nats_mp(lo: float, hi: float) -> float:
         return float(area / (hi - lo))
 
 
+def interval_mean_kl_nats_mp(lo: float, hi: float, reference) -> float:
+    """Mean of KL((t, 1 - t) || reference) in nats over t uniform on [lo, hi], lo < hi, in mpmath.
+
+    Each term t ln(t / r) is the difference of its antiderivative
+    x**2 (ln(x / r) / 2 - 1/4) at 60 digits, in t for the first cell and in
+    1 - t for the second. The two differences are formed apart, so that
+    neither absorbs the other. `reference` is taken as given, not renormalized.
+    """
+    import mpmath as mp
+
+    with mp.workdps(60):
+        def G(x, r):
+            return x * x * (mp.log(x / r) / 2 - mp.mpf(1) / 4) if x > 0 else mp.mpf(0)
+
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        r1, r2 = mp.mpf(float(reference[0])), mp.mpf(float(reference[1]))
+        area = (G(hi, r1) - G(lo, r1)) + (G(1 - lo, r2) - G(1 - hi, r2))
+        return float(area / (hi - lo))
+
+
 # --- frozen expected values ------------------------------------------------
 
 # Mean binary entropy over the full interval [0, 1] in bits; analytic value

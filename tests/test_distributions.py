@@ -21,6 +21,8 @@ from secondorder import (
     PointMass,
     SecondOrderDistribution,
     SumNotOne,
+    aleatoric_bounds,
+    decompose,
     validate,
 )
 
@@ -137,8 +139,42 @@ class TestConstructors:
         inner = FiniteMixture([0.5, 0.5], [PointMass([1.0, 0.0]), PointMass([0.0, 1.0])])
         outer = FiniteMixture([0.4, 0.6], [inner, PointMass([0.5, 0.5])])
         assert all(not isinstance(c, FiniteMixture) for c in outer.components)
-        assert len(outer.components) == 3
-        np.testing.assert_allclose(outer.weights, [0.2, 0.2, 0.6])
+        # The three point masses then fold into one ensemble of three atoms.
+        (atoms,) = outer.components
+        assert type(atoms) is EmpiricalEnsemble
+        np.testing.assert_array_equal(atoms.member_matrix, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        np.testing.assert_allclose(atoms.weights, [0.2, 0.2, 0.6])
+        np.testing.assert_allclose(outer.weights, [1.0])
+
+    def test_mixture_folds_finite_atoms_at_the_first(self):
+        interval, dirichlet = IntervalUniform(0.2, 0.6), Dirichlet([1.0, 2.0])
+        ensemble = EmpiricalEnsemble([[0.1, 0.9], [0.7, 0.3]], weights=[0.25, 0.75])
+        q = FiniteMixture([0.1, 0.2, 0.3, 0.4], [interval, PointMass([0.5, 0.5]), dirichlet, ensemble])
+        assert q.components[0] is interval and q.components[2] is dirichlet
+        np.testing.assert_allclose(q.weights, [0.1, 0.6, 0.3])
+        np.testing.assert_array_equal(q.components[1].member_matrix, [[0.5, 0.5], [0.1, 0.9], [0.7, 0.3]])
+        np.testing.assert_allclose(q.components[1].weights, [0.2 / 0.6, 0.1 / 0.6, 0.3 / 0.6])
+        assert not q.components[1].member_matrix.flags.writeable and not q.components[1].weights.flags.writeable
+        # One finite-atom component stays as it is.
+        point = PointMass([0.5, 0.5])
+        assert FiniteMixture([0.5, 0.5], [point, dirichlet]).components == (point, dirichlet)
+
+    def test_folded_atom_with_underflowed_weight_stays_in_the_support(self):
+        # 5e-324 * 0.5 rounds to 0: the atom adds nothing, but its row is kept.
+        inner = FiniteMixture([0.5, 0.5], [PointMass([1.0, 0.0]), PointMass([0.9, 0.1])])
+        q = FiniteMixture([5e-324, 1.0], [inner, PointMass([0.5, 0.5])])
+        (atoms,) = q.components
+        assert atoms.m == 3 and atoms.weights[0] == atoms.weights[1] == 0.0
+        assert aleatoric_bounds(q).lower == 0.0  # the vertex (1, 0) is still in the support
+        assert decompose(q).aleatoric == 1.0
+        # Every atom weight underflows: the folded ensemble has weight 0, not 0 / 0.
+        nested = [
+            FiniteMixture([0.5, 0.5], [PointMass(theta), Dirichlet([1.0, 2.0])]) for theta in ([1.0, 0.0], [0.2, 0.8])
+        ]
+        q = FiniteMixture([5e-324, 5e-324, 1.0], [*nested, IntervalUniform(0.2, 0.7)])
+        assert q.weights[0] == 0.0 and not q.components[0].weights.any()
+        assert decompose(q).aleatoric == decompose(IntervalUniform(0.2, 0.7)).aleatoric
+        assert aleatoric_bounds(q).lower == 0.0
 
     def test_ensemble_needs_members(self):
         with pytest.raises(EmptyEnsemble):

@@ -2,9 +2,11 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special
@@ -58,7 +60,7 @@ class TestQuadrature:
         expected = oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2  # in nats
         assert abs(res.value - expected) <= res.error_bound + 1e-12
         assert res.error_bound <= 1e-10
-        assert res.evaluations == 1001  # frozen panel count of the adaptive rule
+        assert res.evaluations == 600  # the 15 nodes of each of the 40 start panels, all accepted
 
     def test_degenerate_interval(self):
         res = quadrature_1d(lambda t: 42.0, 0.4, 0.4)
@@ -95,8 +97,18 @@ class TestQuadrature:
 
         res = expect(IntervalUniform(0.0, 1.0), Integrand(rows_fn=rows_fn))
         assert res.value == expect(IntervalUniform(0.0, 1.0), UNTAGGED_ENTROPY).value
+        assert calls == [res.evaluations] == [15 * 2 * QUAD_GRADING]  # the start mesh is enough
+        # A kink splits panels: each further level is one call on 15 nodes per open panel.
+        calls.clear()
+
+        def kinked(ts):
+            calls.append(ts.size)
+            return abs(ts - 0.3)
+
+        res = quadrature_1d(kinked, 0.0, 1.0)
         assert sum(calls) == res.evaluations
-        assert 1 < len(calls) <= MAX_QUAD_DEPTH + 2
+        assert 1 < len(calls) <= MAX_QUAD_DEPTH + 1
+        assert all(n % 15 == 0 for n in calls)
 
     def test_value_within_tolerance(self):
         expected = oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2
@@ -105,56 +117,72 @@ class TestQuadrature:
             assert abs(res.value - expected) <= tol
 
 
-def _seven_row_quadrature(f, a, b, tolerance=1e-10, max_evals=1_000_000):
-    """The level loop that stored seven numbers per open panel, as a reference.
+def _panel_by_panel_gk(f, a, b, tolerance=1e-10, max_evals=1_000_000):
+    """Adaptive G7/K15 on a list of panels, each integrated and judged on its own, as a reference.
 
-    Each column held x0, xm, x2, f(x0), f(xm), f(x2) and the coarse Simpson
-    estimate; `quadrature_1d` keeps five and recomputes xm and the estimate.
-    Both start from the same graded mesh and accept a panel by its share of
-    the width.
+    It calls f once per level on the nodes of every open panel, as
+    `quadrature_1d` does, then walks the panels one by one: each panel's
+    nodes are scalar arithmetic, its K15 and G7 come from its own 15 values,
+    and it is accepted or split in two by itself. Each level sums its
+    accepted panels in order, and the level sums are added exactly. Both
+    start from the same graded mesh.
     """
     if a == b:
         return integrate.ExpectationResult(0.0, 0.0, "exact", 0)
+    width = b - a
+    shares = [0.5**k for k in range(QUAD_GRADING, 0, -1)]
+    breaks = [a] + [a + width * s for s in shares] + [b - width * s for s in shares[-2::-1]] + [b]
+    panels = list(zip(breaks[:-1], breaks[1:]))
     evals = 0
-
-    def ev(ts):
-        nonlocal evals
-        if evals + ts.size > max_evals:
+    level_sums, error = [], 0.0
+    for depth in range(MAX_QUAD_DEPTH + 1):
+        nodes = [
+            [0.5 * (x0 + x2) + 0.5 * (x2 - x0) * float(x) for x in integrate._GK_NODES] for x0, x2 in panels
+        ]
+        if evals + 15 * len(panels) > max_evals:
             raise IntegrationFailure(
                 f"quadrature exceeded {max_evals} evaluations before reaching tolerance {tolerance}"
             )
-        evals += ts.size
-        return np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape)
+        evals += 15 * len(panels)
+        ts = np.array(nodes).ravel()
+        values = np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape).reshape(len(panels), 15)
+        accepted, accepted_size, open_panels, worst = [], [], [], None
+        for (x0, x2), row in zip(panels, values):
+            radius = 0.5 * (x2 - x0)
+            kronrod, gauss = (radius * s for s in np.einsum("j,rj->r", row, integrate._GK_WEIGHTS))
+            size, limit = abs(kronrod - gauss), (x2 - x0) / width * tolerance
+            if size <= limit:
+                accepted.append(kronrod)
+                accepted_size.append(size)
+            else:
+                open_panels.append((x0, x2))
+                if worst is None or size - limit > worst[0]:
+                    worst = (size - limit, x0, x2, size, limit)
+        level_sums.append(float(np.sum(accepted)))
+        error += float(np.sum(accepted_size))
+        if not open_panels:
+            return integrate.ExpectationResult(math.fsum(level_sums), error, "quadrature", evals)
+        if depth == MAX_QUAD_DEPTH:
+            _, x0, x2, size, limit = worst
+            raise IntegrationFailure(
+                f"quadrature hit depth {MAX_QUAD_DEPTH}: panel [{x0!r}, {x2!r}] has error {size:.3e} "
+                f"above its limit {limit:.3e} (its share of tolerance {tolerance})"
+            )
+        centres = [0.5 * (x0 + x2) for x0, x2 in open_panels]
+        panels = [(x0, c) for (x0, _), c in zip(open_panels, centres)] + [
+            (c, x2) for (_, x2), c in zip(open_panels, centres)
+        ]
 
-    width = b - a
-    shares = [0.5**k for k in range(QUAD_GRADING, 0, -1)]
-    breaks = np.array([a] + [a + width * s for s in shares] + [b - width * s for s in shares[-2::-1]] + [b])
-    x0, x2 = breaks[:-1], breaks[1:]
-    mid = 0.5 * (x0 + x2)
-    fbreaks, fmid = np.split(ev(np.concatenate((breaks, mid))), [breaks.size])
-    fa, fb = fbreaks[:-1], fbreaks[1:]
-    whole = (x2 - x0) / 6.0 * (fa + 4.0 * fmid + fb)
-    panels = np.array([x0, mid, x2, fa, fmid, fb, whole])
-    value = error = 0.0
-    for _ in range(MAX_QUAD_DEPTH + 1):
-        x0, xm, x2, f0, fm, f2, whole = panels
-        lm, rm = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        flm, frm = np.split(ev(np.concatenate((lm, rm))), 2)
-        left = (xm - x0) / 6.0 * (f0 + 4.0 * flm + fm)
-        right = (x2 - xm) / 6.0 * (fm + 4.0 * frm + f2)
-        delta = left + right - whole
-        done = np.abs(delta) <= (x2 - x0) / width * (15.0 * tolerance)
-        value += float(np.sum((left + right + delta / 15.0)[done]))
-        error += float(np.sum(np.abs(delta[done]) / 15.0))
-        if done.all():
-            return integrate.ExpectationResult(value, error, "quadrature", evals)
-        lefts = np.stack((x0, lm, xm, f0, flm, fm, left))
-        rights = np.stack((xm, rm, x2, fm, frm, f2, right))
-        panels = np.concatenate((lefts, rights), axis=1)[:, np.tile(~done, 2)]
-    raise IntegrationFailure(
-        f"quadrature hit depth {MAX_QUAD_DEPTH} with panel error "
-        f"{float(np.abs(delta).max()) / 15.0:.3e} (tolerance {tolerance})"
-    )
+
+# The consistency check's intervals: the whole simplex, each edge, interior, narrow and extreme.
+CHECK_KL_INTERVALS = [
+    (0.0, 1.0), (0.0, 0.555), (0.218, 1.0), (0.119, 0.864), (0.502, 0.602), (0.3, 0.7),
+    (0.0, 1e-12), (1.0 - 2**-53, 1.0), (1e-300, 1e-200),
+]
+
+# The smallest abscissa of the start mesh on [0, 1]: the first node of its first panel [0, 2**-20].
+FIRST_NODE = 2.0**-21 + 2.0**-21 * float(integrate._GK_NODES[0])
+FIRST_ABOVE_07 = 0.625 + 0.125 * float(integrate._GK_NODES[11])
 
 
 def _on_rows(rows_fn):
@@ -191,24 +219,26 @@ class TestFiveNumberPanels:
         for f in QUAD_INTEGRANDS.values():
             for tol in (1e-4, 1e-9, 1e-14):
                 tolerance = max(tol * (b - a), 5e-324)
-                expected = _outcome(_seven_row_quadrature, f, a, b, tolerance)
+                expected = _outcome(_panel_by_panel_gk, f, a, b, tolerance)
                 assert _outcome(quadrature_1d, f, a, b, tolerance) == expected
 
     @pytest.mark.parametrize("f", [lambda t: 1.0 / (t - 0.3)], ids=["pole"])
     def test_same_failure_as_the_seven_row_loop(self, f):
         with np.errstate(all="ignore"):
-            expected = _outcome(_seven_row_quadrature, f, 0.0, 1.0, 1e-10)
+            expected = _outcome(_panel_by_panel_gk, f, 0.0, 1.0, 1e-10)
             assert _outcome(quadrature_1d, f, 0.0, 1.0, 1e-10) == expected
         assert expected[0] == "failure" and "exceeded 1000000 evaluations" in expected[1]
 
     @pytest.mark.parametrize(
         "f, named, n_calls",
         [
-            (lambda t: np.full(t.shape, np.nan), "integrand is nan at abscissa 0.0", 1),
-            (lambda t: np.where(t == 0.0, np.inf, t), "integrand is inf at abscissa 0.0", 1),
-            (lambda t: np.where(t > 0.7, -np.inf, t), "integrand is -inf at abscissa 0.75", 1),
-            # 0.3125 is a quarter point of the start panel [0.25, 0.5], first seen in call 2.
-            (lambda t: np.where(t == 0.3125, np.nan, t), "integrand is nan at abscissa 0.3125", 2),
+            (lambda t: np.full(t.shape, np.nan), f"integrand is nan at abscissa {FIRST_NODE!r}", 1),
+            (lambda t: np.where(t == FIRST_NODE, np.inf, t), f"integrand is inf at abscissa {FIRST_NODE!r}", 1),
+            # The start panel [0.5, 0.75] has its first node above 0.7 at 0.625 + 0.125 x_11.
+            (lambda t: np.where(t > 0.7, -np.inf, t), f"integrand is -inf at abscissa {FIRST_ABOVE_07!r}", 1),
+            # The kink at 0.3 splits the start panel [0.25, 0.5]; the centre of its left
+            # half, a quarter point, is first seen in call 2.
+            (lambda t: np.where(t == 0.3125, np.nan, abs(t - 0.3)), "integrand is nan at abscissa 0.3125", 2),
         ],
         ids=["nan", "inf-at-0", "-inf-above-0.7", "nan-at-a-quarter-point"],
     )
@@ -219,9 +249,22 @@ class TestFiveNumberPanels:
             calls.append(ts.size)
             return f(ts)
 
-        with pytest.raises(IntegrationFailure, match=f"^{named}$"):
+        with pytest.raises(IntegrationFailure, match=f"^{re.escape(named)}$"):
             quadrature_1d(counting, 0.0, 1.0)
         assert len(calls) == n_calls
+
+    def test_an_endpoint_is_never_evaluated(self):
+        # The rule is open, so a value that is infinite only at a or b is never seen.
+        seen = []
+
+        def infinite_at_the_ends(ts):
+            seen.append(ts)
+            return np.where((ts == 0.0) | (ts == 1.0), np.inf, ts)
+
+        res = quadrature_1d(infinite_at_the_ends, 0.0, 1.0)
+        assert abs(res.value - 0.5) <= res.error_bound + 1e-16
+        ts = np.concatenate(seen)
+        assert 0.0 < ts.min() and ts.max() < 1.0
 
     @pytest.mark.parametrize(
         "a, b, named",
@@ -248,6 +291,70 @@ class TestFiveNumberPanels:
         assert quadrature_1d(lambda t: 2.0, 0.0, 1.0).value == 2.0
         with pytest.raises(ValueError):
             quadrature_1d(lambda t: np.ones(2), 0.0, 1.0)
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("row, degree", [(0, 22), (1, 13)], ids=["K15", "G7"])
+    def test_rule_is_exact_to_its_degree(self, row, degree):
+        # K15 integrates x**k over [-1, 1] exactly for k <= 22 and G7 for k <= 13; one
+        # degree more is off, so the constants are these two rules and no weaker ones.
+        nodes, weights = integrate._GK_NODES, integrate._GK_WEIGHTS[row]
+        for k in range(degree + 3):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            got = float(weights @ nodes**k)
+            if k <= degree:
+                assert abs(got - exact) <= 4 * math.ulp(1.0), (k, got)
+            elif k % 2 == 0:
+                assert abs(got - exact) > 1e-10, (k, got)
+
+    # Against mpmath, |error| <= bound + 4 ulp: the bound is the summed |K15 - G7|
+    # of the accepted panels, and the ulp term covers the integrand's own
+    # rounding. Measured with numpy 2.4.6 on x86-64, the bound alone fell short on
+    # sqrt [0.2, 0.9] (4.0e-17 against 3.9e-17), t ln t [0.2, 0.9] and [0.3, 0.7],
+    # e^t [0, 1e-6] (1.0e-22 against 7.5e-23), and the KL on [0.502, 0.602] and
+    # [0.3, 0.7] (2.8e-17 and 2.4e-17 against 4.6e-18 and 7.5e-18: ln t - ln m
+    # rounds) and on [1 - 2**-53, 1], where t takes only two float values (2.8e-17
+    # against bound 0). Each integrand comes with its antiderivative in mpmath;
+    # 0.3 is the float, exact in mpmath.
+    INTEGRANDS = {
+        "sqrt": (np.sqrt, lambda x: 2 * x**1.5 / 3),
+        "t-ln-t": (
+            lambda t: t * np.log(np.where(t > 0.0, t, 1.0)),
+            lambda x: x * x * (mp.log(x) / 2 - 0.25) if x > 0 else mp.mpf(0),
+        ),
+        "kink-at-0.3": (lambda t: abs(t - 0.3), lambda x: (x - 0.3) * abs(x - 0.3) / 2),
+        "exp": (np.exp, mp.exp),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.2, 0.9), (0.3, 0.7), (0.0, 1e-6)])
+    def test_bound_covers_the_error_against_mpmath(self, name, a, b):
+        f, antiderivative = self.INTEGRANDS[name]
+        res = quadrature_1d(f, a, b)
+        with mp.workdps(60):
+            exact = antiderivative(mp.mpf(b)) - antiderivative(mp.mpf(a))
+            error = abs(float(mp.mpf(res.value) - exact))
+        assert error <= res.error_bound + 4 * math.ulp(float(exact)), (error, res.error_bound)
+
+    @pytest.mark.parametrize("lo, hi", CHECK_KL_INTERVALS)
+    def test_check_kl_bound_covers_the_error_against_mpmath(self, lo, hi):
+        # The consistency check's expected KL, in one integrand call. Its terms are
+        # logs and probabilities of order 1, so the ulp term is 4 units in the last
+        # place of 1; the two intervals next to 0 need none of it.
+        q = IntervalUniform(lo, hi)
+        mean = q.predictive_mean()
+        kl, calls = kl_to(mean), []
+
+        def rows_fn(rows):
+            calls.append(len(rows))
+            return kl.rows_fn(rows)
+
+        res = expect(q, Integrand(rows_fn))
+        assert calls == [600]
+        error = abs(res.value - oc.interval_mean_kl_nats_mp(lo, hi, mean.probs))
+        assert error <= res.error_bound + 4 * math.ulp(1.0), (error, res.error_bound)
+        if (lo, hi) in ((0.0, 1e-12), (1e-300, 1e-200)):
+            assert error <= res.error_bound, (error, res.error_bound)
 
 
 class TestEngineConfig:
@@ -525,13 +632,13 @@ class TestExpectDispatch:
         res = expect(IntervalUniform(0.0, 1.0), UNTAGGED_ENTROPY)
         assert res.method == "quadrature"
         assert abs(res.value - oc.FROZEN_UNIFORM01_ALEATORIC_BITS * LN2) <= res.error_bound + 1e-12
-        # Frozen panel counts of the adaptive rule at the default tolerance.
-        assert expect(IntervalUniform(0.3, 0.7), UNTAGGED_ENTROPY).evaluations == 249
-        assert expect(IntervalUniform(0.6, 1.0), UNTAGGED_ENTROPY).evaluations == 529
+        # Frozen evaluation counts at the default tolerance: the start mesh resolves both.
+        assert expect(IntervalUniform(0.3, 0.7), UNTAGGED_ENTROPY).evaluations == 600
+        assert expect(IntervalUniform(0.6, 1.0), UNTAGGED_ENTROPY).evaluations == 600
 
     def test_check_kl_resolves_the_edges_from_the_graded_start(self):
         # The consistency check's expected KL on intervals that touch 0 or 1: the
-        # graded start mesh resolves the t ln t end in its first integrand call.
+        # graded start mesh resolves the t ln t end in one integrand call.
         for lo, hi in ((0.0, 1.0), (0.0, 0.43), (0.6, 1.0)):
             q = IntervalUniform(lo, hi)
             calls = []
@@ -542,7 +649,7 @@ class TestExpectDispatch:
                 return kl.rows_fn(rows)
 
             expect(q, Integrand(rows_fn))
-            assert len(calls) <= 8, (lo, hi, len(calls))
+            assert calls == [600], (lo, hi, calls)
         # Against the total minus the closed-form expected entropy at a 1e-12 edge.
         q = IntervalUniform(0.0, 1e-12)
         mean = q.predictive_mean()

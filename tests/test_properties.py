@@ -147,6 +147,43 @@ def test_ensemble_matches_generic_decomposition(members):
         assert max(abs(x - y) for x, y in zip(got, oracle)) <= 1e-12
 
 
+@settings(max_examples=50)
+@given(st.integers(2, 6), st.data())
+def test_mixture_of_atoms_decomposes_as_one_ensemble(k, data):
+    # Two or more point masses and ensembles, with the tail nested or not, score
+    # as the one ensemble of all their atoms weighted w_c * w_cm: the triple, its
+    # bound and the aleatoric bounds agree within 4 ulp of 1. The reference's
+    # constructor renormalizes each atom again, which can move a cell near 1 by
+    # an ulp of 1, and the entropy of a row near a vertex by about as much.
+    def weights(n):
+        w = np.asarray(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        return w / w.sum()
+
+    n = data.draw(st.integers(2, 4))
+    w = weights(n)
+    components, atoms, atom_weights = [], [], []
+    for w_c in w:
+        m = data.draw(st.integers(1, 4))
+        members = [data.draw(probability_vectors(k, k)) for _ in range(m)]
+        component = PointMass(members[0]) if m == 1 else EmpiricalEnsemble(members, weights(m))
+        components.append(component)
+        atoms += list(component.member_matrix)
+        atom_weights += list(w_c * component.weights)
+    if data.draw(st.booleans()):
+        tail = FiniteMixture(w[1:] / w[1:].sum(), components[1:])
+        mixture = FiniteMixture([w[0], w[1:].sum()], [components[0], tail])
+    else:
+        mixture = FiniteMixture(w, components)
+    ensemble = EmpiricalEnsemble(atoms, np.asarray(atom_weights) / sum(atom_weights))
+
+    got, want = decompose(mixture), decompose(ensemble)
+    for name in ("total", "aleatoric", "epistemic", "error_bound"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 4 * math.ulp(1.0), name
+    got, want = aleatoric_bounds(mixture), aleatoric_bounds(ensemble)
+    assert abs(got.lower - want.lower) <= 4 * math.ulp(1.0)
+    assert abs(got.upper - want.upper) <= 4 * math.ulp(1.0)
+
+
 @given(st.integers(2, 5), st.data())
 def test_js_entropy_gap_identity(k, data):
     members = data.draw(st.lists(probability_vectors(k, k), min_size=1, max_size=10))
