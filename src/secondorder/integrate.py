@@ -7,8 +7,9 @@ with explicit error accounting:
   finite-atoms class: ensembles, and point masses as its one-atom case);
 - closed forms for the expected Shannon entropy: digamma for a Dirichlet,
   and for an interval uniform the divided difference of the antiderivative
-  of -t ln t plus a Gauss-Legendre rule for the smooth remainder, each
-  written in the variable that is small near its simplex edge;
+  of -t ln t plus a mean on the 15 Kronrod nodes of the quadrature's rule
+  for the smooth remainder, each written in the variable that is small near
+  its simplex edge;
 - adaptive Gauss-Kronrod (G7/K15) quadrature for every other integrand on
   an interval uniform, as a mean over u in [0, 1] with t = lo + (hi - lo) u,
   so that no area underflows; it starts from panels graded toward both
@@ -254,23 +255,36 @@ def _dirichlet_expected_entropy_nats(alpha: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The G7/K15 rule, shared by the interval closed form and the quadrature
+# ---------------------------------------------------------------------------
+
+# The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule, as in
+# QUADPACK's qk15 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner 1983): rows
+# of (node >= 0, Kronrod weight, Gauss weight), the Gauss weight 0 at a node that
+# only the Kronrod rule uses. K15 is exact to degree 22 and G7 to degree 13.
+_GK_HALF = (
+    (0.0, 0.20948214108472782, 0.4179591836734694),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+)
+_GK_NODES = np.array([-x for x, _, _ in _GK_HALF[:0:-1]] + [x for x, _, _ in _GK_HALF])
+# Row 0 weighs those 15 ascending nodes for K15, row 1 for G7.
+_GK_WEIGHTS = np.array([[row[i] for row in _GK_HALF[:0:-1] + _GK_HALF] for i in (1, 2)])
+
+
+# ---------------------------------------------------------------------------
 # The interval closed form
 # ---------------------------------------------------------------------------
 
-# Ten-point Gauss-Legendre rule on [-1, 1] as (node, weight / 2) pairs, so that it
-# averages. On any subinterval of [0, 0.5] it meets the mean of the smooth part
-# of the binary entropy, -(1 - s) log1p(-s), to about 1e-16 relative.
-_GL_RULE = tuple(
-    (sign * node, half_weight)
-    for node, half_weight in (
-        (0.14887433898163122, 0.1477621123573764),
-        (0.4333953941292472, 0.13463335965499826),
-        (0.6794095682990244, 0.109543181257991),
-        (0.8650633666889845, 0.0747256745752902),
-        (0.9739065285171717, 0.03333567215434407),
-    )
-    for sign in (-1.0, 1.0)
-)
+# The K15 rule as (node, weight / 2) pairs, so that it averages over [-1, 1]. On
+# any subinterval of [0, 0.5] it meets the mean of the smooth part of the binary
+# entropy, -(1 - s) log1p(-s), to a few units in the last place.
+_K15_MEAN = tuple(zip(_GK_NODES.tolist(), (_GK_WEIGHTS[0] / 2.0).tolist()))
 
 
 def _mean_half_entropy(a: float, b: float) -> float:
@@ -279,8 +293,8 @@ def _mean_half_entropy(a: float, b: float) -> float:
     The singular part -s ln s is the divided difference of its antiderivative
     s**2 (1/4 - ln(s) / 2): (a + b)/4 - (a + b) ln(b)/2 - a log1p(x)/(2x)
     with x = (b - a)/a, whose last term vanishes at a = 0 or when x
-    overflows. The smooth part -(1 - s) log1p(-s) gets the Gauss-Legendre
-    rule, which cannot cancel however narrow [a, b] is.
+    overflows. The smooth part -(1 - s) log1p(-s) is averaged on the 15
+    Kronrod nodes, which cannot cancel however narrow [a, b] is.
     """
     x = (b - a) / a if a > 0.0 else math.inf
     tail = a * (math.log1p(x) / x) if x < math.inf else 0.0
@@ -288,7 +302,7 @@ def _mean_half_entropy(a: float, b: float) -> float:
     singular = total / 4.0 - total * math.log(b) / 2.0 - tail / 2.0
     centre, radius = 0.5 * total, 0.5 * (b - a)
     smooth = 0.0
-    for node, weight in _GL_RULE:
+    for node, weight in _K15_MEAN:
         s = centre + radius * node
         smooth -= weight * (1.0 - s) * math.log1p(-s)
     return singular + smooth
@@ -315,28 +329,10 @@ def _interval_expected_entropy_nats(lo: float, hi: float) -> float:
 # Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
-# The 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule, as in
-# QUADPACK's qk15 (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner 1983): rows
-# of (node >= 0, Kronrod weight, Gauss weight), the Gauss weight 0 at a node that
-# only the Kronrod rule uses. K15 is exact to degree 22 and G7 to degree 13.
-_GK_HALF = (
-    (0.0, 0.20948214108472782, 0.4179591836734694),
-    (0.20778495500789848, 0.20443294007529889, 0.0),
-    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
-    (0.5860872354676911, 0.1690047266392679, 0.0),
-    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
-    (0.8648644233597691, 0.10479001032225019, 0.0),
-    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
-    (0.9914553711208126, 0.022935322010529224, 0.0),
-)
 # The start mesh's breakpoints are a + (b - a) * _RISE, then b - (b - a) * _FALL:
 # the panels widen from 2**-QUAD_GRADING of b - a to 1/2 of it, then narrow again.
 _RISE = np.concatenate(([0.0], 0.5 ** np.arange(QUAD_GRADING, 0, -1)))
 _FALL = _RISE[-2::-1]
-
-_GK_NODES = np.array([-x for x, _, _ in _GK_HALF[:0:-1]] + [x for x, _, _ in _GK_HALF])
-# Row 0 weighs those 15 ascending nodes for K15, row 1 for G7.
-_GK_WEIGHTS = np.array([[row[i] for row in _GK_HALF[:0:-1] + _GK_HALF] for i in (1, 2)])
 
 
 def quadrature_1d(

@@ -255,19 +255,28 @@ class TestDecompose:
             decompose(_LateBreak([3.0, 4.0]), config=EngineConfig(mc_samples=100_000, seed=3))
         assert len(calls) > 1
 
-    @pytest.mark.parametrize("factor, mc_samples", [(1.5, 2000), (1.2, 100_000)])
-    def test_consistency_guard_trips_on_wrong_concentration(self, factor, mc_samples):
+    @pytest.mark.parametrize(
+        "build, factor, mc_samples",
+        [
+            (lambda d: d([1.0, 3.0, 6.0]), 1.5, 2000),
+            (lambda d: d([1.0, 3.0, 6.0]), 1.2, 100_000),
+            # Beside an interval, whose quadrature part of the bound gets the same margin.
+            (lambda d: FiniteMixture([0.5, 0.5], [d([1.0, 3.0]), IntervalUniform(0.2, 0.7)]), 1.5, 2000),
+        ],
+        ids=["1.5-2000", "1.2-100000", "interval-1.5-2000"],
+    )
+    def test_consistency_guard_trips_on_wrong_concentration(self, build, factor, mc_samples):
         # At 2000 rows the x1.5 sampler's gap lies between 7.5 and 30 SE on every seed here.
         for seed in range(20):
             cfg = EngineConfig(mc_samples=mc_samples, seed=seed)
-            decompose(Dirichlet([1.0, 3.0, 6.0]), config=cfg)  # the honest sampler passes
+            decompose(build(Dirichlet), config=cfg)  # the honest sampler passes
             with pytest.raises(ConsistencyFailure):
-                decompose(_scaled_sampler(factor)([1.0, 3.0, 6.0]), config=cfg)
+                decompose(build(_scaled_sampler(factor)), config=cfg)
 
-    def test_interval_mixture_keeps_the_quadrature_margin(self, monkeypatch):
+    def test_interval_mixture_checks_at_the_monte_carlo_margin(self, monkeypatch):
         # The entropy is closed form on both components and the expected KL is
-        # Monte Carlo at its weakest, but the interval's KL part is a quadrature:
-        # the check trips at 10 times the combined bound, not at MC_MARGIN times.
+        # Monte Carlo at its weakest, with the interval's KL part a quadrature:
+        # the check trips at MC_MARGIN times the combined bound, as for any input.
         import secondorder.measures as measures
 
         q = FiniteMixture([0.5, 0.5], [Dirichlet([2, 3]), IntervalUniform(0.2, 0.7)])
@@ -284,9 +293,9 @@ class TestDecompose:
             shift = residual + ratio * combined - direct.value
             return lambda m: Integrand(lambda rows: kl_nats_rows(rows, m.probs) + shift)
 
-        monkeypatch.setattr(measures, "kl_to", shifted_to(5.0))
+        monkeypatch.setattr(measures, "kl_to", shifted_to(2.0))
         decompose(q, config=cfg)
-        monkeypatch.setattr(measures, "kl_to", shifted_to(12.0))
+        monkeypatch.setattr(measures, "kl_to", shifted_to(3.0))
         with pytest.raises(ConsistencyFailure):
             decompose(q, config=cfg)
 
